@@ -8,6 +8,7 @@
 //!
 //! Each study prints a markdown table of median missed deadlines.
 
+use ecds_bench::cli::{args_or_exit, flag_value, UsageError};
 use ecds_bench::parallel::{default_threads, run_parallel};
 use ecds_core::{
     DeterministicMct, EnergyFilter, Filter, FilterVariant, Heuristic, HeuristicKind, KPercentBest,
@@ -27,7 +28,13 @@ struct Args {
     small: bool,
 }
 
-fn parse_args() -> Args {
+const USAGE: &str =
+    "usage: ablations [zeta-mul|rho-thresh|impulse-cap|idle-downshift|arrivals|zoo|all] \
+                     [--trials N] [--seed S] [--threads T] [--small]";
+
+/// Parses the command line (without the program name); `Ok(None)` asks
+/// for the usage text.
+fn parse_args(argv: &[String]) -> Result<Option<Args>, UsageError> {
     let mut args = Args {
         command: "all".to_string(),
         trials: 20,
@@ -35,29 +42,20 @@ fn parse_args() -> Args {
         threads: default_threads(),
         small: false,
     };
-    let mut iter = std::env::args().skip(1);
+    let mut iter = argv.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "zeta-mul" | "rho-thresh" | "impulse-cap" | "idle-downshift" | "arrivals" | "zoo"
-            | "all" => args.command = arg,
-            "--trials" => args.trials = iter.next().and_then(|v| v.parse().ok()).expect("number"),
-            "--seed" => args.seed = iter.next().and_then(|v| v.parse().ok()).expect("number"),
-            "--threads" => args.threads = iter.next().and_then(|v| v.parse().ok()).expect("number"),
+            | "all" => args.command = arg.clone(),
+            "--trials" => args.trials = flag_value(arg, iter.next(), "a number")?,
+            "--seed" => args.seed = flag_value(arg, iter.next(), "a number")?,
+            "--threads" => args.threads = flag_value(arg, iter.next(), "a number")?,
             "--small" => args.small = true,
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: ablations [zeta-mul|rho-thresh|impulse-cap|idle-downshift|arrivals|zoo|all] \
-                     [--trials N] [--seed S] [--threads T] [--small]"
-                );
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
+            "--help" | "-h" => return Ok(None),
+            other => return Err(UsageError::unknown(other)),
         }
     }
-    args
+    Ok(Some(args))
 }
 
 fn scenario_for(args: &Args) -> Scenario {
@@ -294,7 +292,8 @@ fn ablate_heuristic_zoo(args: &Args) {
 }
 
 fn main() {
-    let args = parse_args();
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = args_or_exit(parse_args(&argv), USAGE);
     let run_all = args.command == "all";
     if run_all || args.command == "zeta-mul" {
         ablate_zeta_mul(&args);

@@ -11,6 +11,7 @@
 
 use std::path::PathBuf;
 
+use ecds_bench::cli::{args_or_exit, flag_value, UsageError};
 use ecds_bench::report::{
     grid_csv, render_best_figure, render_full_report, render_headline_analysis,
     render_heuristic_figure,
@@ -28,7 +29,12 @@ struct Args {
     small: bool,
 }
 
-fn parse_args() -> Args {
+const USAGE: &str = "usage: experiments [fig2|fig3|fig4|fig5|fig6|all] \
+                     [--trials N] [--seed S] [--threads T] [--out DIR] [--small]";
+
+/// Parses the command line (without the program name); `Ok(None)` asks
+/// for the usage text.
+fn parse_args(argv: &[String]) -> Result<Option<Args>, UsageError> {
     let mut args = Args {
         command: "all".to_string(),
         trials: 50,
@@ -37,48 +43,25 @@ fn parse_args() -> Args {
         out: PathBuf::from("results"),
         small: false,
     };
-    let mut iter = std::env::args().skip(1);
+    let mut iter = argv.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "fig2" | "fig3" | "fig4" | "fig5" | "fig6" | "all" => args.command = arg,
-            "--trials" => {
-                args.trials = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--trials needs a number")
-            }
-            "--seed" => {
-                args.seed = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed needs a number")
-            }
-            "--threads" => {
-                args.threads = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--threads needs a number")
-            }
-            "--out" => args.out = PathBuf::from(iter.next().expect("--out needs a path")),
+            "fig2" | "fig3" | "fig4" | "fig5" | "fig6" | "all" => args.command = arg.clone(),
+            "--trials" => args.trials = flag_value(arg, iter.next(), "a number")?,
+            "--seed" => args.seed = flag_value(arg, iter.next(), "a number")?,
+            "--threads" => args.threads = flag_value(arg, iter.next(), "a number")?,
+            "--out" => args.out = flag_value(arg, iter.next(), "a path")?,
             "--small" => args.small = true,
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: experiments [fig2|fig3|fig4|fig5|fig6|all] \
-                     [--trials N] [--seed S] [--threads T] [--out DIR] [--small]"
-                );
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
+            "--help" | "-h" => return Ok(None),
+            other => return Err(UsageError::unknown(other)),
         }
     }
-    args
+    Ok(Some(args))
 }
 
 fn main() {
-    let args = parse_args();
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = args_or_exit(parse_args(&argv), USAGE);
     let scenario = if args.small {
         Scenario::small_for_tests(args.seed)
     } else {

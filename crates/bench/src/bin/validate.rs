@@ -16,6 +16,7 @@
 //! validate [--trials N] [--seed S] [--small]
 //! ```
 
+use ecds_bench::cli::{args_or_exit, flag_value, UsageError};
 use ecds_core::{RandomChoice, RobustnessFilter, Scheduler};
 use ecds_pmf::ReductionPolicy;
 use ecds_pmf::Stream;
@@ -28,33 +29,32 @@ struct Args {
     small: bool,
 }
 
-fn parse_args() -> Args {
+const USAGE: &str = "usage: validate [--trials N] [--seed S] [--small]";
+
+/// Parses the command line (without the program name); `Ok(None)` asks
+/// for the usage text.
+fn parse_args(argv: &[String]) -> Result<Option<Args>, UsageError> {
     let mut args = Args {
         trials: 10,
         seed: 1353,
         small: false,
     };
-    let mut iter = std::env::args().skip(1);
+    let mut iter = argv.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--trials" => args.trials = iter.next().and_then(|v| v.parse().ok()).expect("number"),
-            "--seed" => args.seed = iter.next().and_then(|v| v.parse().ok()).expect("number"),
+            "--trials" => args.trials = flag_value(arg, iter.next(), "a number")?,
+            "--seed" => args.seed = flag_value(arg, iter.next(), "a number")?,
             "--small" => args.small = true,
-            "--help" | "-h" => {
-                eprintln!("usage: validate [--trials N] [--seed S] [--small]");
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
+            "--help" | "-h" => return Ok(None),
+            other => return Err(UsageError::unknown(other)),
         }
     }
-    args
+    Ok(Some(args))
 }
 
 fn main() {
-    let args = parse_args();
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = args_or_exit(parse_args(&argv), USAGE);
     // Validation isolates the *deadline* prediction, so run without the
     // energy cutoff (ρ models deadlines, not budget exhaustion) and
     // without the energy filter (we want predictions across the whole ρ

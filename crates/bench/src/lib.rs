@@ -18,6 +18,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod cli;
 pub mod experiment;
 pub mod parallel;
 pub mod report;

@@ -11,6 +11,7 @@ use ecds_sim::{DirtyCores, PrefixStamp, SystemView};
 use ecds_workload::Task;
 
 use crate::candidate::EvaluatedCandidate;
+use crate::fanout::FanOut;
 use crate::shard::{ClassCandidate, ClassKey, Expiry, ShardIndex, CLASS_NONE, ZERO_ESTS};
 
 /// The four quantities Sec. V-A defines per assignment of task `z` to core
@@ -168,6 +169,27 @@ fn shifted_prob_le(pmf: &Pmf, dt: Time, x: Time) -> Prob {
     acc.min(1.0)
 }
 
+/// The estimate of assigning `task` to `core` in `pstate`, given its
+/// completion-time moments: `EET` and `EEC` depend only on the core's node.
+fn assemble_estimate(
+    view: &SystemView<'_>,
+    task: &Task,
+    core: usize,
+    pstate: PState,
+    (ect, rho): (Time, Prob),
+) -> AssignmentEstimate {
+    let cluster = view.cluster();
+    let core_id = cluster.core(core);
+    let node = cluster.node_of(core_id);
+    let eet = view.table().eet(task.type_id, core_id.node, pstate);
+    AssignmentEstimate {
+        eet,
+        ect,
+        eec: eet * node.power.watts(pstate) / node.efficiency,
+        rho,
+    }
+}
+
 /// One core's cached queue prefix: the pmf (or `None` for an idle empty
 /// core) plus the state it is exact for.
 #[derive(Debug, Clone)]
@@ -252,6 +274,12 @@ struct DedupScratch {
 /// an identical candidate stream (DESIGN.md §11).
 /// [`CandidateEvaluator::without_candidate_dedup`] evaluates every core
 /// independently — the differential reference for the class partition.
+///
+/// On the shard-indexed paths, a decision with at least
+/// [`FAN_OUT_MIN_BUSY_CLASSES`](crate::FAN_OUT_MIN_BUSY_CLASSES) busy
+/// classes shares its kernel calls with one persistent helper thread,
+/// spawned on the first such decision and joined on drop; estimates and
+/// counters are bit-identical to a serial evaluation (DESIGN.md §15).
 #[derive(Debug)]
 pub struct CandidateEvaluator {
     policy: ReductionPolicy,
@@ -271,6 +299,11 @@ pub struct CandidateEvaluator {
     /// Guards [`CandidateEvaluator::refresh_entry`]'s pending push: sweeps
     /// refresh through the same code path but rekey inline.
     in_sweep: Cell<bool>,
+    /// Representative core of every class one shard-path decision
+    /// evaluates (retained capacity).
+    class_reps: RefCell<Vec<usize>>,
+    /// The second evaluation lane of the shard paths.
+    fan_out: RefCell<FanOut>,
     hits: Cell<u64>,
     misses: Cell<u64>,
     /// Equivalence classes summed over all deduplicated mapping events.
@@ -293,6 +326,8 @@ impl CandidateEvaluator {
             shard: Some(RefCell::new(ShardIndex::default())),
             rekey_pending: RefCell::new(Vec::new()),
             in_sweep: Cell::new(false),
+            class_reps: RefCell::new(Vec::new()),
+            fan_out: RefCell::new(FanOut::default()),
             hits: Cell::new(0),
             misses: Cell::new(0),
             dedup_classes: Cell::new(0),
@@ -312,6 +347,8 @@ impl CandidateEvaluator {
             shard: None,
             rekey_pending: RefCell::new(Vec::new()),
             in_sweep: Cell::new(false),
+            class_reps: RefCell::new(Vec::new()),
+            fan_out: RefCell::new(FanOut::default()),
             hits: Cell::new(0),
             misses: Cell::new(0),
             dedup_classes: Cell::new(0),
@@ -355,6 +392,13 @@ impl CandidateEvaluator {
         self.shard.is_some()
     }
 
+    /// Threads that evaluate this evaluator's decisions: `2` once the
+    /// fan-out helper runs, `1` before its first large enough decision and
+    /// on single-core hosts.
+    pub fn evaluation_lanes(&self) -> usize {
+        self.fan_out.borrow().lanes()
+    }
+
     /// The reduction policy in use.
     pub fn policy(&self) -> ReductionPolicy {
         self.policy
@@ -362,7 +406,8 @@ impl CandidateEvaluator {
 
     /// Number of fused-kernel invocations since construction or the last
     /// [`CandidateEvaluator::reset_cache`]; 0 when the fused kernel is
-    /// disabled.
+    /// disabled. Includes the fan-out helper's calls, which are folded in
+    /// before each decision returns.
     pub fn fused_kernel_calls(&self) -> u64 {
         self.scratch
             .as_ref()
@@ -700,25 +745,33 @@ impl CandidateEvaluator {
         pstate: PState,
         prefix: Option<&Pmf>,
     ) -> AssignmentEstimate {
-        let cluster = view.cluster();
-        let core_id = cluster.core(core);
-        let node = cluster.node_of(core_id);
-        let table = view.table();
-        let eet = table.eet(task.type_id, core_id.node, pstate);
+        let ect_rho = self.ect_rho(view, task, core, pstate, prefix);
+        assemble_estimate(view, task, core, pstate, ect_rho)
+    }
+
+    /// `(ECT, ρ)` of one assignment.
+    fn ect_rho(
+        &self,
+        view: &SystemView<'_>,
+        task: &Task,
+        core: usize,
+        pstate: PState,
+        prefix: Option<&Pmf>,
+    ) -> (Time, Prob) {
+        let node = view.cluster().core(core).node;
+        let exec_pmf = view.table().pmf(task.type_id, node, pstate);
         // The fused path never materializes the completion-time pmf: the
         // convolution lands in the scratch workspace and the two moments are
         // read straight off the buffer (busy core), or computed shift-free
         // from the execution-time pmf (idle core). Both are bit-identical to
         // the legacy allocating pipeline below.
-        let (ect, rho) = match (&self.scratch, prefix) {
+        match (&self.scratch, prefix) {
             (Some(scratch), Some(p)) => {
                 let mut scratch = scratch.borrow_mut();
-                let exec_pmf = table.pmf(task.type_id, core_id.node, pstate);
                 let completion = scratch.convolve_reduced(p, exec_pmf, self.policy);
                 (completion.expectation(), completion.prob_le(task.deadline))
             }
             (Some(_), None) => {
-                let exec_pmf = table.pmf(task.type_id, core_id.node, pstate);
                 let now = view.time();
                 (
                     shifted_expectation(exec_pmf, now),
@@ -729,12 +782,70 @@ impl CandidateEvaluator {
                 let completion = self.completion_pmf_with_prefix(view, task, core, pstate, prefix);
                 (completion.expectation(), completion.prob_le(task.deadline))
             }
+        }
+    }
+
+    /// The estimates of every class representative in `reps` — all five
+    /// P-states, each against the representative's refreshed cache entry —
+    /// handed to `store` by position in `reps`. The one evaluation routine
+    /// of both shard paths.
+    ///
+    /// With at least [`FAN_OUT_MIN_BUSY_CLASSES`](crate::FAN_OUT_MIN_BUSY_CLASSES)
+    /// busy classes and a second core, the busy classes' kernel calls are
+    /// shared with the fan-out helper while `EET`/`EEC` and the idle-class
+    /// arm stay on the caller. Each (class, P-state) result is computed by
+    /// the same kernel on the same inputs and written back by index, so
+    /// the estimates are bit-identical to the serial loop (DESIGN.md §15).
+    fn evaluate_classes(
+        &self,
+        view: &SystemView<'_>,
+        task: &Task,
+        entries: &[Option<CachedPrefix>],
+        reps: &[usize],
+        mut store: impl FnMut(usize, [AssignmentEstimate; NUM_PSTATES]),
+    ) {
+        let prefix_of = |rep: usize| entry_of(entries, rep).prefix.as_ref();
+        let busy = reps.iter().filter(|&&rep| prefix_of(rep).is_some()).count();
+        let mut fan_out = self.fan_out.borrow_mut();
+        let batch = self.scratch.as_ref().and_then(|scratch| {
+            let batch = fan_out.begin_batch(busy, self.policy, task.deadline)?;
+            Some((batch, scratch))
+        });
+        let Some((mut batch, scratch)) = batch else {
+            for (i, &rep) in reps.iter().enumerate() {
+                let prefix = prefix_of(rep);
+                store(
+                    i,
+                    PState::ALL
+                        .map(|pstate| self.evaluate_with_prefix(view, task, rep, pstate, prefix)),
+                );
+            }
+            return;
         };
-        AssignmentEstimate {
-            eet,
-            ect,
-            eec: eet * node.power.watts(pstate) / node.efficiency,
-            rho,
+        let table = view.table();
+        for &rep in reps {
+            if let Some(prefix) = prefix_of(rep) {
+                let node = view.cluster().core(rep).node;
+                batch.push_job(prefix.impulses(), table.template_of(node), |pstate| {
+                    table.pmf(task.type_id, node, pstate).impulses()
+                });
+            }
+        }
+        let results = batch.work_batch(&mut scratch.borrow_mut());
+        let mut job = 0;
+        for (i, &rep) in reps.iter().enumerate() {
+            let prefix = prefix_of(rep);
+            store(
+                i,
+                PState::ALL.map(|pstate| {
+                    let ect_rho = match prefix {
+                        Some(_) => results.unit(job, pstate),
+                        None => self.ect_rho(view, task, rep, pstate, None),
+                    };
+                    assemble_estimate(view, task, rep, pstate, ect_rho)
+                }),
+            );
+            job += usize::from(prefix.is_some());
         }
     }
 
@@ -798,7 +909,8 @@ impl CandidateEvaluator {
             shard.stamp += 1;
             shard.ests_stamp.resize(shard.classes.len(), 0);
             shard.ests.resize(shard.classes.len(), ZERO_ESTS);
-            let mut touched = 0u64;
+            let mut reps = self.class_reps.borrow_mut();
+            reps.clear();
             for core in 0..num_cores {
                 let id = shard.class_of[core] as usize;
                 if shard.ests_stamp[id] != shard.stamp {
@@ -806,21 +918,24 @@ impl CandidateEvaluator {
                     // minimum — the same representative the per-event
                     // partition evaluates.
                     shard.ests_stamp[id] = shard.stamp;
-                    let prefix = entry_of(entries, core).prefix.as_ref();
-                    shard.ests[id] = PState::ALL
-                        .map(|pstate| self.evaluate_with_prefix(view, task, core, pstate, prefix));
-                    touched += 1;
+                    reps.push(core);
                 }
-                let ests = shard.ests[id];
+            }
+            let ShardIndex { class_of, ests, .. } = shard;
+            self.evaluate_classes(view, task, entries, &reps, |i, class_ests| {
+                ests[class_of[reps[i]] as usize] = class_ests;
+            });
+            for core in 0..num_cores {
+                let class_ests = ests[class_of[core] as usize];
                 for (idx, pstate) in PState::ALL.into_iter().enumerate() {
                     out.push(EvaluatedCandidate {
                         core,
                         pstate,
-                        est: ests[idx],
+                        est: class_ests[idx],
                     });
                 }
             }
-            self.note_dedup_event(num_cores, touched);
+            self.note_dedup_event(num_cores, reps.len() as u64);
             return;
         }
         let mut scratch = dedup.borrow_mut();
@@ -1085,6 +1200,8 @@ impl CandidateEvaluator {
             ..
         } = &mut *shard;
         out.reserve(*active);
+        let mut reps = self.class_reps.borrow_mut();
+        reps.clear();
         // BTreeMap key order, then chain order, is deterministic — though
         // selection never depends on it: indexed tie-breaks anchor on
         // `min_core`, reproducing the full scan's first-wins argmin.
@@ -1104,20 +1221,19 @@ impl CandidateEvaluator {
                     }
                     class.members.pop();
                 };
-                let prefix = entry_of(entries, rep).prefix.as_ref();
-                let ests = PState::ALL
-                    .map(|pstate| self.evaluate_with_prefix(view, task, rep, pstate, prefix));
+                reps.push(rep);
                 out.push(ClassCandidate {
                     min_core: rep,
                     depth: key.depth as usize,
                     members: class.count as usize,
-                    ests,
+                    ests: ZERO_ESTS,
                     retained: [true; NUM_PSTATES],
                 });
                 id = class.next;
             }
         }
         debug_assert_eq!(out.len(), *active);
+        self.evaluate_classes(view, task, entries, &reps, |i, ests| out[i].ests = ests);
         self.note_dedup_event(num_cores, out.len() as u64);
         true
     }
@@ -1587,6 +1703,56 @@ mod tests {
         ev.reset_cache();
         assert_eq!(ev.dedup_stats(), Some((0, 0)));
         assert_eq!(ev.dedup_skipped_evaluations(), 0);
+    }
+
+    /// A fanned-out decision's kernel calls — the helper's share included —
+    /// equal the serial reference's, and `reset_cache` leaves no helper
+    /// share behind: the next decision counts from zero.
+    #[test]
+    fn fanned_out_kernel_calls_fold_and_reset_with_the_cache() {
+        use ecds_cluster::ClusterGenConfig;
+        use ecds_sim::DirtyCores;
+        use ecds_workload::WorkloadConfig;
+        let s = Scenario::with_configs(
+            17,
+            ClusterGenConfig::scaled(16, 4),
+            WorkloadConfig::small_for_tests(),
+        );
+        let mut cores = idle_cores(&s);
+        for (i, core) in cores.iter_mut().enumerate() {
+            core.start(ExecutingTask {
+                task: TaskId(i),
+                type_id: TaskTypeId(i % 4),
+                pstate: PState::P1,
+                start: i as f64,
+                deadline: 5000.0,
+            });
+        }
+        let dirty = DirtyCores::default();
+        let view = SystemView::new(s.cluster(), s.table(), &cores, 50.0, 1, 60).with_dirty(&dirty);
+        let task = mk_task(&s, 50.0);
+        let serial = CandidateEvaluator::default().without_shard_index();
+        let reference = serial.evaluate_all(&view, &task);
+        let per_decision = serial.fused_kernel_calls();
+
+        let ev = CandidateEvaluator::default();
+        let mut classes = Vec::new();
+        for _ in 0..2 {
+            ev.reset_cache();
+            assert_eq!(ev.fused_kernel_calls(), 0);
+            assert!(ev.evaluate_indexed_into(&view, &task, &mut classes));
+            assert_eq!(ev.fused_kernel_calls(), per_decision);
+        }
+        let busy = classes.iter().filter(|c| c.depth > 0).count();
+        assert!(
+            busy >= crate::FAN_OUT_MIN_BUSY_CLASSES,
+            "{busy} busy classes"
+        );
+        for class in &classes {
+            for (pi, est) in class.ests.iter().enumerate() {
+                assert!(est.bit_eq(&reference[class.min_core * NUM_PSTATES + pi].est));
+            }
+        }
     }
 
     #[test]

@@ -51,6 +51,7 @@
 pub mod candidate;
 pub mod estimate;
 pub mod factory;
+mod fanout;
 pub mod filters;
 pub mod heuristics;
 pub mod robustness;
@@ -60,6 +61,7 @@ pub mod shard;
 pub use candidate::{candidates_bit_eq, EvaluatedCandidate};
 pub use estimate::{pending_completion_pmf, AssignmentEstimate, CandidateEvaluator};
 pub use factory::{build_scheduler, FilterVariant, HeuristicKind};
+pub use fanout::FAN_OUT_MIN_BUSY_CLASSES;
 pub use filters::energy::{EnergyFilter, ZetaMulPolicy};
 pub use filters::robustness::RobustnessFilter;
 pub use filters::{Filter, FilterCtx};

@@ -10,10 +10,13 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use ecds_cluster::PState;
-use ecds_core::{candidates_bit_eq, CandidateEvaluator, ClassCandidate, EvaluatedCandidate};
+use ecds_cluster::{ClusterGenConfig, PState};
+use ecds_core::{
+    candidates_bit_eq, CandidateEvaluator, ClassCandidate, EvaluatedCandidate,
+    FAN_OUT_MIN_BUSY_CLASSES,
+};
 use ecds_sim::{CoreState, DirtyCores, ExecutingTask, QueuedTask, Scenario, SystemView};
-use ecds_workload::{Task, TaskId, TaskTypeId};
+use ecds_workload::{Task, TaskId, TaskTypeId, WorkloadConfig};
 
 /// System allocator wrapper that counts every allocation call.
 struct CountingAlloc;
@@ -43,12 +46,10 @@ fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
-#[test]
-fn warm_evaluate_all_allocates_only_the_result_vector() {
-    let scenario = Scenario::small_for_tests(23);
-    let mut cores = vec![CoreState::new(); scenario.cluster().total_cores()];
-    // Every core busy with a queue behind it: the heaviest steady-state
-    // shape — every candidate runs a real prefix ⊛ exec convolution.
+/// Every core busy with a queue behind it: the heaviest steady-state shape
+/// — every candidate runs a real prefix ⊛ exec convolution.
+fn loaded_cores(n: usize) -> Vec<CoreState> {
+    let mut cores = vec![CoreState::new(); n];
     for (i, core) in cores.iter_mut().enumerate() {
         core.start(ExecutingTask {
             task: TaskId(i),
@@ -66,6 +67,13 @@ fn warm_evaluate_all_allocates_only_the_result_vector() {
             });
         }
     }
+    cores
+}
+
+#[test]
+fn warm_evaluate_all_allocates_only_the_result_vector() {
+    let scenario = Scenario::small_for_tests(23);
+    let cores = loaded_cores(scenario.cluster().total_cores());
     let view = SystemView::new(scenario.cluster(), scenario.table(), &cores, 50.0, 1, 60);
     let task = Task {
         id: TaskId(50),
@@ -165,4 +173,56 @@ fn warm_evaluate_all_allocates_only_the_result_vector() {
             assert!(est.bit_eq(&reference[class.min_core * 5 + pi].est));
         }
     }
+
+    // --- Fan-out: ZERO steady-state allocations on either lane. ---
+    //
+    // A templated cluster with every core busy puts far more than
+    // FAN_OUT_MIN_BUSY_CLASSES busy classes into each decision, so on a
+    // host with a second core the helper thread shares the kernel calls.
+    // The counter is process-global and sees both threads: once warm, the
+    // batch buffers and both lanes' workspaces must already be grown, no
+    // matter which lane ran which unit during warm-up.
+    let wide = Scenario::with_configs(
+        23,
+        ClusterGenConfig::scaled(16, 4),
+        WorkloadConfig::small_for_tests(),
+    );
+    let wide_cores = loaded_cores(wide.cluster().total_cores());
+    let wide_dirty = DirtyCores::default();
+    let wide_view = SystemView::new(wide.cluster(), wide.table(), &wide_cores, 50.0, 1, 60)
+        .with_dirty(&wide_dirty);
+    let wide_reference = CandidateEvaluator::default()
+        .without_shard_index()
+        .evaluate_all(&wide_view, &task);
+    let fanned = CandidateEvaluator::default();
+    for _ in 0..2 {
+        fanned.evaluate_all_into(&wide_view, &task, &mut out);
+        assert!(fanned.evaluate_indexed_into(&wide_view, &task, &mut classes));
+    }
+    let busy = classes.iter().filter(|c| c.depth > 0).count();
+    assert!(
+        busy >= FAN_OUT_MIN_BUSY_CLASSES,
+        "the fan-out case must cross the floor ({busy} busy classes)"
+    );
+    if std::thread::available_parallelism().map_or(1, |n| n.get()) >= 2 {
+        assert_eq!(fanned.evaluation_lanes(), 2, "the helper must be running");
+    }
+
+    let before = allocations();
+    for _ in 0..16 {
+        fanned.evaluate_all_into(&wide_view, &task, &mut out);
+        assert!(fanned.evaluate_indexed_into(&wide_view, &task, &mut classes));
+    }
+    let during = allocations() - before;
+    assert!(candidates_bit_eq(&out, &wide_reference));
+    for class in &classes {
+        for (pi, est) in class.ests.iter().enumerate() {
+            assert!(est.bit_eq(&wide_reference[class.min_core * 5 + pi].est));
+        }
+    }
+    assert_eq!(
+        during, 0,
+        "warm fanned-out decisions must not allocate on either lane: the \
+         caller grows the batch and both workspaces before publishing"
+    );
 }

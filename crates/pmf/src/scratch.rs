@@ -177,6 +177,22 @@ impl PmfScratch {
         self.kernel_calls = calls;
     }
 
+    /// Grows the kernel buffers so that any later call with at most
+    /// `products` pairwise products (`a.len() × b.len()`) runs without
+    /// allocating. For a workspace whose calls are not known in advance —
+    /// the two lanes of a fanned-out decision split its calls by schedule —
+    /// this reaches the high-water mark that running every call would.
+    pub fn reserve_kernel(&mut self, products: usize) {
+        for buf in [
+            &mut self.products,
+            &mut self.merge_buf,
+            &mut self.merged,
+            &mut self.out,
+        ] {
+            buf.reserve(products.saturating_sub(buf.len()));
+        }
+    }
+
     /// Fused equivalent of `a.convolve(b, policy)`: convolves and reduces
     /// entirely inside the workspace and returns a view of the result,
     /// valid until the next call that touches the workspace.

@@ -7,6 +7,7 @@
 //! Only the *semantic* fields are compared; the dedup counters themselves
 //! legitimately differ (that is the whole point of having both modes).
 
+use ecds::core::{ClassCandidate, FAN_OUT_MIN_BUSY_CLASSES};
 use ecds::prelude::*;
 
 fn run_pair(
@@ -135,4 +136,194 @@ fn deduped_runs_report_classes_and_per_core_report_none() {
     assert_eq!(b.telemetry().mapper.candidate_classes, None);
     assert_eq!(b.telemetry().mapper.dedup_skipped_evaluations, 0);
     assert_eq!(b.telemetry().mapper.classes_per_event(), None);
+}
+
+/// A templated cluster large enough that loaded decisions cross the
+/// fan-out floor: 24 nodes from 4 templates, arrivals scaled to its core
+/// count so bursts queue work on many cores at once.
+fn fan_out_scenario(master: u64) -> Scenario {
+    let cluster = ClusterGenConfig::scaled(24, 4);
+    let probe = Scenario::with_configs(master, cluster.clone(), WorkloadConfig::small_for_tests());
+    let window = probe.workload().window;
+    let workload = WorkloadConfig {
+        arrivals: BurstPattern::scaled_to_cluster(window, probe.cluster().total_cores()),
+        ..WorkloadConfig::small_for_tests()
+    };
+    Scenario::with_configs(master, cluster, workload)
+}
+
+/// Runs the production scheduler (shard index, fan-out) and the serial
+/// `without_shard_index()` reference side by side on every decision, and
+/// checks three bare evaluators against each other on the same views: the
+/// production full-scan path, the production indexed path and the serial
+/// reference.
+struct FanOutDifferential {
+    production: Box<dyn Mapper>,
+    reference: Box<dyn Mapper>,
+    scan: CandidateEvaluator,
+    indexed: CandidateEvaluator,
+    serial: CandidateEvaluator,
+    out: Vec<EvaluatedCandidate>,
+    classes: Vec<ClassCandidate>,
+    /// Decisions with at least `FAN_OUT_MIN_BUSY_CLASSES` busy classes.
+    above_floor: usize,
+    decisions: u64,
+    /// Classes the indexed path emitted, summed over decisions.
+    classes_seen: u64,
+    /// `(core, P-state)` pairs those classes stood in for beyond their
+    /// representatives, summed over decisions.
+    skipped_seen: u64,
+    label: String,
+}
+
+impl Mapper for FanOutDifferential {
+    fn on_trial_start(&mut self) {
+        self.production.on_trial_start();
+        self.reference.on_trial_start();
+        for evaluator in [&self.scan, &self.indexed, &self.serial] {
+            evaluator.reset_cache();
+        }
+    }
+
+    fn assign(&mut self, task: &Task, view: &SystemView<'_>) -> Option<Assignment> {
+        let label = &self.label;
+        let reference = self.serial.evaluate_all(view, task);
+        self.scan.evaluate_all_into(view, task, &mut self.out);
+        assert!(
+            candidates_bit_eq(&self.out, &reference),
+            "{label}: full-scan candidates diverged at task {:?}",
+            task.id
+        );
+        assert!(self
+            .indexed
+            .evaluate_indexed_into(view, task, &mut self.classes));
+        let mut members = 0;
+        for class in &self.classes {
+            members += class.members;
+            for pstate in PState::ALL {
+                let want = &reference[class.min_core * PState::ALL.len() + pstate.index()];
+                assert_eq!((want.core, want.pstate), (class.min_core, pstate));
+                assert!(
+                    class.ests[pstate.index()].bit_eq(&want.est),
+                    "{label}: class of core {} diverged in {pstate:?} at task {:?}",
+                    class.min_core,
+                    task.id
+                );
+            }
+        }
+        let cores = view.cluster().total_cores();
+        assert_eq!(members, cores);
+        self.decisions += 1;
+        self.classes_seen += self.classes.len() as u64;
+        self.skipped_seen += ((cores - self.classes.len()) * PState::ALL.len()) as u64;
+        let busy = self.classes.iter().filter(|c| c.depth > 0).count();
+        if busy >= FAN_OUT_MIN_BUSY_CLASSES {
+            self.above_floor += 1;
+        }
+        let chosen = self.production.assign(task, view);
+        assert_eq!(
+            chosen,
+            self.reference.assign(task, view),
+            "{label}: chosen assignment diverged at task {:?}",
+            task.id
+        );
+        chosen
+    }
+
+    fn stats(&self) -> MapperStats {
+        self.production.stats()
+    }
+}
+
+/// Decisions that fan out (shard paths, at least `FAN_OUT_MIN_BUSY_CLASSES`
+/// busy classes, a second core) are bit-identical to the serial reference:
+/// every `EvaluatedCandidate`, every `ClassCandidate`, the chosen
+/// assignment, the trial outcome, and the kernel and prefix-cache counters
+/// — over seeds × {SQ, MECT, LL, Random} × {none, en+rob}. The class and
+/// skip counters match the classes the indexed path actually emitted.
+#[test]
+fn fanned_out_shard_paths_equal_the_serial_reference() {
+    let two_cores = std::thread::available_parallelism().map_or(1, |n| n.get()) >= 2;
+    for master in [5, 17] {
+        let scenario = fan_out_scenario(master);
+        let trace = scenario.trace(0);
+        for kind in HeuristicKind::ALL {
+            for variant in [FilterVariant::None, FilterVariant::EnergyAndRobustness] {
+                let label = format!("seed {master} / {kind} / {variant}");
+                let mut diff = FanOutDifferential {
+                    production: build_scheduler(kind, variant, &scenario, 0),
+                    reference: Box::new(
+                        (*build_scheduler(kind, variant, &scenario, 0)).without_shard_index(),
+                    ),
+                    scan: CandidateEvaluator::default(),
+                    indexed: CandidateEvaluator::default(),
+                    serial: CandidateEvaluator::default().without_shard_index(),
+                    out: Vec::new(),
+                    classes: Vec::new(),
+                    above_floor: 0,
+                    decisions: 0,
+                    classes_seen: 0,
+                    skipped_seen: 0,
+                    label: label.clone(),
+                };
+                let result = Simulation::new(&scenario, &trace).run(&mut diff);
+                let mut serial =
+                    (*build_scheduler(kind, variant, &scenario, 0)).without_shard_index();
+                let reference = Simulation::new(&scenario, &trace).run(&mut serial);
+                assert_semantically_identical(&result, &reference, &label);
+                // The per-event reference keys classes by node, the shard
+                // index by node template and depth, so their class and skip
+                // counters differ by design; every other counter matches.
+                let (prod, serial_stats) = (diff.production.stats(), diff.reference.stats());
+                assert_eq!(
+                    (prod.prefix_cache, prod.fused_kernel_calls),
+                    (serial_stats.prefix_cache, serial_stats.fused_kernel_calls),
+                    "{label}: scheduler counters diverged"
+                );
+                for (name, evaluator) in [("scan", &diff.scan), ("indexed", &diff.indexed)] {
+                    let serial = &diff.serial;
+                    assert_eq!(
+                        (
+                            evaluator.fused_kernel_calls(),
+                            evaluator.prefix_cache_stats()
+                        ),
+                        (serial.fused_kernel_calls(), serial.prefix_cache_stats()),
+                        "{label}: {name} kernel or prefix-cache counters diverged"
+                    );
+                    assert_eq!(
+                        (
+                            evaluator.dedup_stats(),
+                            evaluator.dedup_skipped_evaluations()
+                        ),
+                        (Some((diff.classes_seen, diff.decisions)), diff.skipped_seen),
+                        "{label}: {name} class counters diverged from the classes emitted"
+                    );
+                    assert_eq!(
+                        (prod.candidate_classes, prod.dedup_skipped_evaluations),
+                        (
+                            evaluator.dedup_stats(),
+                            evaluator.dedup_skipped_evaluations()
+                        ),
+                        "{label}: scheduler class counters diverged from {name}"
+                    );
+                }
+                assert!(
+                    diff.above_floor > 0,
+                    "{label}: no decision reached the fan-out floor"
+                );
+                if two_cores {
+                    assert_eq!(
+                        diff.scan.evaluation_lanes(),
+                        2,
+                        "{label}: scan never fanned out"
+                    );
+                    assert_eq!(
+                        diff.indexed.evaluation_lanes(),
+                        2,
+                        "{label}: indexed never fanned out"
+                    );
+                }
+            }
+        }
+    }
 }

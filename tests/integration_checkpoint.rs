@@ -219,6 +219,47 @@ fn immediate_restore_survives_cancel_overdue() {
     }
 }
 
+/// A templated cluster large enough that loaded decisions cross the
+/// fan-out floor (the scenario of `integration_candidate_dedup`'s fan-out
+/// differential): 24 nodes from 4 templates, arrivals scaled to its cores.
+fn fan_out_scenario(master: u64) -> Scenario {
+    let cluster = ClusterGenConfig::scaled(24, 4);
+    let probe = Scenario::with_configs(master, cluster.clone(), WorkloadConfig::small_for_tests());
+    let window = probe.workload().window;
+    let workload = WorkloadConfig {
+        arrivals: BurstPattern::scaled_to_cluster(window, probe.cluster().total_cores()),
+        ..WorkloadConfig::small_for_tests()
+    };
+    Scenario::with_configs(master, cluster, workload)
+}
+
+/// Checkpoint continuity under fan-out: a session whose decisions share
+/// their kernel calls with the evaluator's helper thread, checkpointed
+/// mid-stream and restored into a freshly built scheduler (whose evaluator
+/// spawns a helper of its own), finishes bit-identically to the
+/// uninterrupted run — including the fused-kernel counter, which must
+/// carry the helper's calls across the boundary exactly once.
+#[test]
+fn immediate_restore_is_bit_identical_under_fan_out() {
+    for master in [5, 17] {
+        let scenario = fan_out_scenario(master);
+        let trace = scenario.trace(0);
+        for kind in [HeuristicKind::LightestLoad, HeuristicKind::Random] {
+            let variant = FilterVariant::EnergyAndRobustness;
+            let reference = serve_immediate(&scenario, &trace, kind, variant, None);
+            assert!(reference.telemetry().mapper.fused_kernel_calls > 0);
+            for at in [41, 97] {
+                let resumed = serve_immediate(&scenario, &trace, kind, variant, Some(at));
+                assert_bit_identical(
+                    &reference,
+                    &resumed,
+                    &format!("fan-out seed {master} / {kind} / checkpoint@{at}"),
+                );
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Batch mode.
 // ---------------------------------------------------------------------------
