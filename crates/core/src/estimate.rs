@@ -47,26 +47,21 @@ impl AssignmentEstimate {
 
 /// Computes the completion-time pmf of the *last pending* task on `core` at
 /// the view's time — the "queue prefix" every candidate on that core is
-/// convolved with. Returns `None` for an idle, empty core (whose ready time
-/// is the current time).
+/// convolved with — plus the inclusive upper bound of the time window over
+/// which the returned prefix stays *bit-identical* while the core's epoch is
+/// unchanged (the basis of the evaluator's cache; see DESIGN.md §7).
+/// Returns `None` for an idle, empty core (whose ready time is the current
+/// time).
 ///
 /// Per Sec. IV-B: the executing task's execution-time pmf is shifted by its
 /// start time, impulses in the past are removed and the rest renormalized
 /// (a task that has outlived its entire distribution is treated as
 /// completing now); queued tasks' execution-time pmfs are convolved on in
-/// FIFO order.
-pub fn pending_completion_pmf(
-    view: &SystemView<'_>,
-    core: usize,
-    policy: ReductionPolicy,
-) -> Option<Pmf> {
-    prefix_with_validity(view, core, policy).0
-}
-
-/// [`pending_completion_pmf`] plus the inclusive upper bound of the time
-/// window over which the returned prefix stays *bit-identical* while the
-/// core's epoch is unchanged (the basis of the evaluator's cache; see
-/// DESIGN.md §7).
+/// FIFO order. The whole chain runs on the scratch's resident prefix buffer
+/// (zero intermediate `Pmf`s) and the result is materialized once, for the
+/// cache entry every later lookup borrows; it is bit-identical to the same
+/// chain written with the by-value `shift`/`truncate`/`convolve` (see
+/// `ecds_pmf::scratch`).
 ///
 /// The prefix's only time dependence is the truncation of the executing
 /// task's shifted pmf at `now`: truncating at any `t` with
@@ -78,44 +73,6 @@ pub fn pending_completion_pmf(
 /// the idle-but-queued branch (unreachable with the bundled engine) shifts
 /// by `now` directly, so its bound is `now` itself.
 fn prefix_with_validity(
-    view: &SystemView<'_>,
-    core: usize,
-    policy: ReductionPolicy,
-) -> (Option<Pmf>, Time) {
-    let state = view.core_state(core);
-    let node = view.cluster().core(core).node;
-    let table = view.table();
-    let now = view.time();
-
-    let mut valid_until = f64::INFINITY;
-    let mut acc: Option<Pmf> = state.executing().map(|exec| {
-        let mut completion = table.pmf(exec.type_id, node, exec.pstate).shift(exec.start);
-        completion.truncate_below_or_floor_in_place(now);
-        valid_until = completion.min_value();
-        completion
-    });
-    for queued in state.queued() {
-        let exec_pmf = table.pmf(queued.type_id, node, queued.pstate);
-        acc = Some(match acc {
-            Some(prefix) => prefix.convolve(exec_pmf, policy),
-            // Unreachable with the bundled engine (it starts tasks on idle
-            // cores immediately), but kept correct for custom engines.
-            None => {
-                valid_until = now;
-                exec_pmf.shift(now)
-            }
-        });
-    }
-    (acc, valid_until)
-}
-
-/// [`prefix_with_validity`] built entirely inside a [`PmfScratch`]: the
-/// shift, truncation, and every convolution of the chain run on the
-/// scratch's resident prefix buffer (zero intermediate `Pmf`s), and the
-/// result is materialized once at the end — for the cache entry that every
-/// later lookup borrows. Bit-identical to the legacy builder (see
-/// `ecds_pmf::scratch`).
-fn prefix_with_validity_fused(
     view: &SystemView<'_>,
     core: usize,
     policy: ReductionPolicy,
@@ -138,7 +95,8 @@ fn prefix_with_validity_fused(
         if scratch.has_prefix() {
             scratch.convolve_prefix_with(exec_pmf, policy);
         } else {
-            // Unreachable with the bundled engine; see the legacy builder.
+            // Unreachable with the bundled engine (it starts tasks on idle
+            // cores immediately), but kept correct for custom engines.
             valid_until = now;
             scratch.load_prefix_shifted(exec_pmf, now);
         }
@@ -203,7 +161,7 @@ struct CachedPrefix {
     valid_until: Time,
     prefix: Option<Pmf>,
     /// Bit-fingerprint of `prefix` (epoch-guarded; re-stamped on every
-    /// fill) — the fast equivalence-class key of DESIGN.md §11.
+    /// fill) — the fast equivalence-class key of DESIGN.md §13.
     stamp: PrefixStamp,
 }
 
@@ -223,109 +181,67 @@ fn prefix_bit_eq(a: Option<&Pmf>, b: Option<&Pmf>) -> bool {
     }
 }
 
-/// One candidate equivalence class discovered during a mapping event: all
-/// cores on `node` whose queue prefixes are bit-identical to the
-/// representative's share these five estimates (DESIGN.md §11).
-#[derive(Debug, Clone, Copy)]
-struct DedupClass {
-    /// Owning node of every member (estimates depend on the core only
-    /// through its node).
-    node: usize,
-    /// Prefix fingerprint of every member (`None` for the idle class).
-    fingerprint: Option<u64>,
-    /// Lowest-index member — the core the estimates were evaluated on.
-    rep: usize,
-    /// The replicated per-P-state estimates, indexed by P-state.
-    ests: [AssignmentEstimate; NUM_PSTATES],
-}
-
-/// Reusable class storage for one mapping event. Cleared (capacity
-/// retained) at the start of every deduplicated `evaluate_all`, preserving
-/// the evaluator's one-allocation-per-call steady state.
-#[derive(Debug, Default)]
-struct DedupScratch {
-    classes: Vec<DedupClass>,
-}
-
-/// Evaluates all candidate assignments for one arriving task, computing the
-/// per-core queue prefix once and reusing it across the five P-states.
+/// Evaluates all candidate assignments for one arriving task: the Sec. V-A
+/// quantities of every (core, P-state) pair, computed once per candidate
+/// *equivalence class* (DESIGN.md §13).
 ///
-/// By default the evaluator also keeps a *versioned prefix cache*: the
-/// prefix of each core is remembered together with the core's mutation
-/// epoch and its exact-validity time window, and reused across mapping
-/// events as long as both still match. The cache is invisible — reused
-/// prefixes are bit-identical to recomputed ones by construction — and
-/// interiorly mutable, so the evaluation API stays `&self`. The evaluator
-/// is `Send` but not `Sync` (one per scheduler, one scheduler per thread).
+/// Three mechanisms make this cheap, none of them visible in the results:
 ///
-/// Orthogonally to the cache, the evaluator owns a [`PmfScratch`] and runs
-/// every candidate convolution through the allocation-free fused kernel,
-/// reusing the workspace across all (core, P-state) candidates of a mapping
-/// event (and across events). [`CandidateEvaluator::without_fused_kernel`]
-/// falls back to the legacy allocating pipeline — the differential
-/// reference, mirroring `uncached` for the cache.
+/// - A *versioned prefix cache* remembers each core's queue prefix with
+///   the core's mutation epoch and the prefix's exact-validity time window,
+///   and reuses it while both still match — reused prefixes are
+///   bit-identical to recomputed ones by construction (DESIGN.md §7).
+/// - Every convolution runs through the allocation-free fused kernel of a
+///   [`PmfScratch`] the evaluator owns, bit-identical to the by-value pmf
+///   operations (DESIGN.md §7.1).
+/// - A persistent *shard index* partitions the cores into classes keyed by
+///   node template, prefix fingerprint and queue depth, with membership
+///   confirmed by [`Pmf::bit_eq`]. Each class is evaluated once, on its
+///   lowest-index member. The engine's dirty-core mailbox keeps the index
+///   up to date incrementally; a view without one rebuilds it on every
+///   call, which is the same partition, only slower.
 ///
-/// Thirdly, [`CandidateEvaluator::evaluate_all`] deduplicates by candidate
-/// *equivalence class*: cores on the same node whose queue prefixes are
-/// bit-identical (confirmed, never assumed, via fingerprint then
-/// [`Pmf::bit_eq`]) are evaluated once on the lowest-index representative
-/// and the estimates replicated, while candidates are still emitted in
-/// core-major / P-state-minor order — so heuristics' argmin tie-breaks see
-/// an identical candidate stream (DESIGN.md §11).
-/// [`CandidateEvaluator::without_candidate_dedup`] evaluates every core
-/// independently — the differential reference for the class partition.
-///
-/// On the shard-indexed paths, a decision with at least
+/// A decision with at least
 /// [`FAN_OUT_MIN_BUSY_CLASSES`](crate::FAN_OUT_MIN_BUSY_CLASSES) busy
 /// classes shares its kernel calls with one persistent helper thread,
 /// spawned on the first such decision and joined on drop; estimates and
 /// counters are bit-identical to a serial evaluation (DESIGN.md §15).
+///
+/// The state is interiorly mutable, so the evaluation API stays `&self`.
+/// The evaluator is `Send` but not `Sync` (one per scheduler, one
+/// scheduler per thread).
 #[derive(Debug)]
 pub struct CandidateEvaluator {
     policy: ReductionPolicy,
-    /// `None` disables caching (differential testing, baselines).
-    cache: Option<RefCell<Vec<Option<CachedPrefix>>>>,
-    /// `None` disables the fused kernel (differential testing, baselines).
-    scratch: Option<RefCell<PmfScratch>>,
-    /// `None` disables equivalence-class dedup (differential testing).
-    dedup: Option<RefCell<DedupScratch>>,
-    /// The persistent shard index of DESIGN.md §13 (`None` falls back to
-    /// the per-event partition — the differential reference). Requires
-    /// both the cache and dedup; disabled alongside either.
-    shard: Option<RefCell<ShardIndex>>,
-    /// Cores whose entry was recomputed by a single-core lookup *outside*
-    /// a sweep: their class membership must be revalidated next sweep.
-    rekey_pending: RefCell<Vec<u32>>,
-    /// Guards [`CandidateEvaluator::refresh_entry`]'s pending push: sweeps
-    /// refresh through the same code path but rekey inline.
-    in_sweep: Cell<bool>,
-    /// Representative core of every class one shard-path decision
-    /// evaluates (retained capacity).
+    /// The prefix cache, indexed by core.
+    cache: RefCell<Vec<Option<CachedPrefix>>>,
+    /// The fused kernel's workspace.
+    scratch: RefCell<PmfScratch>,
+    /// The persistent shard index of DESIGN.md §13.
+    shard: RefCell<ShardIndex>,
+    /// Representative core of every class one decision evaluates
+    /// (retained capacity).
     class_reps: RefCell<Vec<usize>>,
-    /// The second evaluation lane of the shard paths.
+    /// The second evaluation lane.
     fan_out: RefCell<FanOut>,
     hits: Cell<u64>,
     misses: Cell<u64>,
-    /// Equivalence classes summed over all deduplicated mapping events.
+    /// Equivalence classes summed over all mapping events.
     dedup_classes: Cell<u64>,
-    /// Deduplicated mapping events (`evaluate_all` calls).
+    /// Mapping events (`evaluate_all_into` / `evaluate_indexed_into` calls).
     dedup_events: Cell<u64>,
     /// (core, P-state) evaluations skipped via class replication.
     dedup_skipped: Cell<u64>,
 }
 
 impl CandidateEvaluator {
-    /// Creates a caching evaluator with the given convolution reduction
-    /// policy.
+    /// Creates an evaluator with the given convolution reduction policy.
     pub fn new(policy: ReductionPolicy) -> Self {
         Self {
             policy,
-            cache: Some(RefCell::new(Vec::new())),
-            scratch: Some(RefCell::new(PmfScratch::new())),
-            dedup: Some(RefCell::new(DedupScratch::default())),
-            shard: Some(RefCell::new(ShardIndex::default())),
-            rekey_pending: RefCell::new(Vec::new()),
-            in_sweep: Cell::new(false),
+            cache: RefCell::new(Vec::new()),
+            scratch: RefCell::new(PmfScratch::new()),
+            shard: RefCell::new(ShardIndex::default()),
             class_reps: RefCell::new(Vec::new()),
             fan_out: RefCell::new(FanOut::default()),
             hits: Cell::new(0),
@@ -334,62 +250,6 @@ impl CandidateEvaluator {
             dedup_events: Cell::new(0),
             dedup_skipped: Cell::new(0),
         }
-    }
-
-    /// Creates an evaluator that recomputes every prefix from scratch —
-    /// the reference the cached evaluator is differentially tested against.
-    pub fn uncached(policy: ReductionPolicy) -> Self {
-        Self {
-            policy,
-            cache: None,
-            scratch: Some(RefCell::new(PmfScratch::new())),
-            dedup: Some(RefCell::new(DedupScratch::default())),
-            shard: None,
-            rekey_pending: RefCell::new(Vec::new()),
-            in_sweep: Cell::new(false),
-            class_reps: RefCell::new(Vec::new()),
-            fan_out: RefCell::new(FanOut::default()),
-            hits: Cell::new(0),
-            misses: Cell::new(0),
-            dedup_classes: Cell::new(0),
-            dedup_events: Cell::new(0),
-            dedup_skipped: Cell::new(0),
-        }
-    }
-
-    /// Disables the fused scratch kernel: every convolution goes through the
-    /// legacy allocating `convolve` + `reduce` pipeline instead. Used as the
-    /// differential reference proving the fused path bit-identical.
-    pub fn without_fused_kernel(mut self) -> Self {
-        self.scratch = None;
-        self
-    }
-
-    /// Disables candidate equivalence-class deduplication:
-    /// [`CandidateEvaluator::evaluate_all`] evaluates every (core, P-state)
-    /// pair independently. Used as the differential reference proving the
-    /// class partition bit-identical.
-    pub fn without_candidate_dedup(mut self) -> Self {
-        self.dedup = None;
-        self.shard = None;
-        self
-    }
-
-    /// Disables the persistent shard index: every deduplicated
-    /// `evaluate_all` rebuilds its class partition from scratch (the
-    /// per-event path of DESIGN.md §11) and
-    /// [`CandidateEvaluator::evaluate_indexed_into`] reports the indexed
-    /// path unavailable. The differential reference the shard-indexed
-    /// default is tested against.
-    pub fn without_shard_index(mut self) -> Self {
-        self.shard = None;
-        self
-    }
-
-    /// `true` when the persistent shard index is enabled (the default;
-    /// requires both the prefix cache and candidate dedup).
-    pub fn has_shard_index(&self) -> bool {
-        self.shard.is_some()
     }
 
     /// Threads that evaluate this evaluator's decisions: `2` once the
@@ -405,72 +265,39 @@ impl CandidateEvaluator {
     }
 
     /// Number of fused-kernel invocations since construction or the last
-    /// [`CandidateEvaluator::reset_cache`]; 0 when the fused kernel is
-    /// disabled. Includes the fan-out helper's calls, which are folded in
-    /// before each decision returns.
+    /// [`CandidateEvaluator::reset_cache`]. Includes the fan-out helper's
+    /// calls, which are folded in before each decision returns.
     pub fn fused_kernel_calls(&self) -> u64 {
-        self.scratch
-            .as_ref()
-            .map_or(0, |s| s.borrow().kernel_calls())
+        self.scratch.borrow().kernel_calls()
     }
 
     /// `(hits, misses)` of the prefix cache since construction or the last
-    /// [`CandidateEvaluator::reset_cache`]; `None` if caching is disabled.
-    pub fn prefix_cache_stats(&self) -> Option<(u64, u64)> {
-        self.cache
-            .as_ref()
-            .map(|_| (self.hits.get(), self.misses.get()))
+    /// [`CandidateEvaluator::reset_cache`].
+    pub fn prefix_cache_stats(&self) -> (u64, u64) {
+        (self.hits.get(), self.misses.get())
     }
 
     /// `(classes, events)` — candidate equivalence classes summed over all
-    /// deduplicated mapping events, and the number of such events — since
-    /// construction or the last [`CandidateEvaluator::reset_cache`];
-    /// `None` if dedup is disabled.
-    pub fn dedup_stats(&self) -> Option<(u64, u64)> {
-        self.dedup
-            .as_ref()
-            .map(|_| (self.dedup_classes.get(), self.dedup_events.get()))
+    /// mapping events, and the number of such events — since construction
+    /// or the last [`CandidateEvaluator::reset_cache`].
+    pub fn dedup_stats(&self) -> (u64, u64) {
+        (self.dedup_classes.get(), self.dedup_events.get())
     }
 
     /// (core, P-state) evaluations skipped because the core belonged to an
-    /// already-evaluated equivalence class; 0 when dedup is disabled.
+    /// already-evaluated equivalence class.
     pub fn dedup_skipped_evaluations(&self) -> u64 {
         self.dedup_skipped.get()
     }
 
-    /// The current bit-fingerprint of `core`'s queue prefix, or `None` for
-    /// an unloaded core (whose prefix pmf is itself absent — see
-    /// [`PrefixStamp`]). Served from the refreshed cache entry when caching
-    /// is enabled, computed on the spot otherwise.
-    pub fn prefix_fingerprint(&self, view: &SystemView<'_>, core: usize) -> Option<u64> {
-        match &self.cache {
-            Some(cache) => {
-                let mut entries = cache.borrow_mut();
-                self.refresh_entry(&mut entries, view, core);
-                entry_of(&entries, core).stamp.fingerprint()
-            }
-            None => {
-                let (prefix, _) = self.compute_prefix(view, core);
-                prefix.as_ref().map(Pmf::fingerprint)
-            }
-        }
-    }
-
-    /// Drops every cached prefix and zeroes the hit/miss, dedup, and
-    /// kernel counters. Must be called between trials: a fresh trial resets
-    /// every core to epoch 0, which would otherwise collide with stale
-    /// entries.
+    /// Drops every cached prefix and the shard index, and zeroes the
+    /// hit/miss, class and kernel counters. Must be called between trials:
+    /// a fresh trial resets every core to epoch 0, which would otherwise
+    /// collide with stale entries.
     pub fn reset_cache(&self) {
-        if let Some(cache) = &self.cache {
-            cache.borrow_mut().clear();
-        }
-        if let Some(scratch) = &self.scratch {
-            scratch.borrow_mut().reset_kernel_calls();
-        }
-        if let Some(shard) = &self.shard {
-            shard.borrow_mut().reset();
-        }
-        self.rekey_pending.borrow_mut().clear();
+        self.cache.borrow_mut().clear();
+        self.scratch.borrow_mut().reset_kernel_calls();
+        self.shard.borrow_mut().reset();
         self.hits.set(0);
         self.misses.set(0);
         self.dedup_classes.set(0);
@@ -480,126 +307,72 @@ impl CandidateEvaluator {
 
     /// Serializes the evaluator's mutable state — the counters, the fused
     /// kernel's call count, and every prefix-cache entry (epoch, validity
-    /// window, pmf, stamp) — into a serving checkpoint. The evaluator's
-    /// *configuration* (which of cache / fused kernel / dedup are enabled)
-    /// is encoded as presence flags so a restore into a differently
-    /// configured evaluator fails loudly instead of silently diverging.
+    /// window, pmf, stamp) — into a serving checkpoint.
     pub fn save_state(&self, enc: &mut Encoder) {
         enc.put_u64(self.hits.get());
         enc.put_u64(self.misses.get());
         enc.put_u64(self.dedup_classes.get());
         enc.put_u64(self.dedup_events.get());
         enc.put_u64(self.dedup_skipped.get());
-        match &self.scratch {
-            Some(scratch) => {
-                enc.put_bool(true);
-                enc.put_u64(scratch.borrow().kernel_calls());
-            }
-            None => enc.put_bool(false),
-        }
-        match &self.cache {
-            Some(cache) => {
-                enc.put_bool(true);
-                let entries = cache.borrow();
-                enc.put_u64(entries.len() as u64);
-                for entry in entries.iter() {
-                    match entry {
-                        Some(e) => {
-                            enc.put_bool(true);
-                            enc.put_u64(e.epoch);
-                            enc.put_f64(e.computed_at);
-                            enc.put_f64(e.valid_until);
-                            e.prefix.encode(enc);
-                            e.stamp.encode(enc);
-                        }
-                        None => enc.put_bool(false),
-                    }
+        enc.put_u64(self.scratch.borrow().kernel_calls());
+        let entries = self.cache.borrow();
+        enc.put_u64(entries.len() as u64);
+        for entry in entries.iter() {
+            match entry {
+                Some(e) => {
+                    enc.put_bool(true);
+                    enc.put_u64(e.epoch);
+                    enc.put_f64(e.computed_at);
+                    enc.put_f64(e.valid_until);
+                    e.prefix.encode(enc);
+                    e.stamp.encode(enc);
                 }
+                None => enc.put_bool(false),
             }
-            None => enc.put_bool(false),
         }
-        // DedupScratch is per-mapping-event (cleared at every
-        // `evaluate_all`), so only the configuration flag persists.
-        enc.put_bool(self.dedup.is_some());
     }
 
-    /// Restores state written by [`CandidateEvaluator::save_state`].
-    ///
-    /// Fails with [`DecodeError::Corrupt`] when the checkpoint was taken
-    /// from an evaluator with a different cache / fused-kernel / dedup
-    /// configuration.
+    /// Restores state written by [`CandidateEvaluator::save_state`]. The
+    /// shard index is derived from the cache entries and never
+    /// checkpointed: the next decision rebuilds it.
     pub fn restore_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), DecodeError> {
         self.hits.set(dec.u64()?);
         self.misses.set(dec.u64()?);
         self.dedup_classes.set(dec.u64()?);
         self.dedup_events.set(dec.u64()?);
         self.dedup_skipped.set(dec.u64()?);
-        if dec.bool()? != self.scratch.is_some() {
-            return Err(DecodeError::Corrupt(
-                "checkpoint fused-kernel configuration mismatch",
-            ));
+        self.scratch.get_mut().set_kernel_calls(dec.u64()?);
+        let n = dec.u64()?;
+        if n > dec.remaining() {
+            return Err(DecodeError::Truncated);
         }
-        if let Some(scratch) = &self.scratch {
-            scratch.borrow_mut().set_kernel_calls(dec.u64()?);
-        }
-        if dec.bool()? != self.cache.is_some() {
-            return Err(DecodeError::Corrupt(
-                "checkpoint prefix-cache configuration mismatch",
-            ));
-        }
-        if let Some(cache) = &self.cache {
-            let n = dec.u64()?;
-            if n > dec.remaining() {
-                return Err(DecodeError::Truncated);
-            }
-            let mut entries = Vec::with_capacity(n as usize);
-            for _ in 0..n {
-                if dec.bool()? {
-                    let epoch = dec.u64()?;
-                    let computed_at = dec.f64()?;
-                    let valid_until = dec.f64()?;
-                    if computed_at.is_nan() || valid_until.is_nan() {
-                        return Err(DecodeError::Corrupt(
-                            "cache validity window must not be NaN",
-                        ));
-                    }
-                    let prefix = Option::<Pmf>::decode(dec)?;
-                    let stamp = PrefixStamp::decode(dec)?;
-                    entries.push(Some(CachedPrefix {
-                        epoch,
-                        computed_at,
-                        valid_until,
-                        prefix,
-                        stamp,
-                    }));
-                } else {
-                    entries.push(None);
+        let mut entries = Vec::with_capacity(n as usize);
+        for _ in 0..n {
+            if dec.bool()? {
+                let epoch = dec.u64()?;
+                let computed_at = dec.f64()?;
+                let valid_until = dec.f64()?;
+                if computed_at.is_nan() || valid_until.is_nan() {
+                    return Err(DecodeError::Corrupt(
+                        "cache validity window must not be NaN",
+                    ));
                 }
+                let prefix = Option::<Pmf>::decode(dec)?;
+                let stamp = PrefixStamp::decode(dec)?;
+                entries.push(Some(CachedPrefix {
+                    epoch,
+                    computed_at,
+                    valid_until,
+                    prefix,
+                    stamp,
+                }));
+            } else {
+                entries.push(None);
             }
-            *cache.borrow_mut() = entries;
         }
-        if dec.bool()? != self.dedup.is_some() {
-            return Err(DecodeError::Corrupt(
-                "checkpoint candidate-dedup configuration mismatch",
-            ));
-        }
-        // The shard index is derived from the cache entries and never
-        // checkpointed: a restore schedules a full rebuild instead.
-        if let Some(shard) = &self.shard {
-            shard.borrow_mut().reset();
-        }
-        self.rekey_pending.borrow_mut().clear();
+        *self.cache.get_mut() = entries;
+        self.shard.get_mut().reset();
         Ok(())
-    }
-
-    /// Computes a core's prefix through whichever pipeline is enabled.
-    fn compute_prefix(&self, view: &SystemView<'_>, core: usize) -> (Option<Pmf>, Time) {
-        match &self.scratch {
-            Some(scratch) => {
-                prefix_with_validity_fused(view, core, self.policy, &mut scratch.borrow_mut())
-            }
-            None => prefix_with_validity(view, core, self.policy),
-        }
     }
 
     /// Brings `core`'s cache entry up to date: a lookup counts as a hit
@@ -627,24 +400,8 @@ impl CandidateEvaluator {
             return;
         }
         self.misses.set(self.misses.get() + 1);
-        // A single-core recompute outside a sweep silently changes the
-        // prefix bits the core's shard-class membership rests on: queue it
-        // for revalidation at the next sweep. The queue is bounded — once
-        // it outgrows the core count a rebuild is cheaper than a sweep, so
-        // the backlog collapses into a rebuild flag instead of growing.
-        if !self.in_sweep.get() {
-            if let Some(shard) = &self.shard {
-                let mut pending = self.rekey_pending.borrow_mut();
-                let mut shard = shard.borrow_mut();
-                if pending.len() >= shard.class_of.len().max(64) {
-                    shard.needs_rebuild = true;
-                    pending.clear();
-                } else {
-                    pending.push(core as u32);
-                }
-            }
-        }
-        let (prefix, valid_until) = self.compute_prefix(view, core);
+        let (prefix, valid_until) =
+            prefix_with_validity(view, core, self.policy, &mut self.scratch.borrow_mut());
         let fingerprint = prefix.as_ref().map(Pmf::fingerprint);
         match &mut entries[core] {
             Some(e) => {
@@ -666,75 +423,6 @@ impl CandidateEvaluator {
                 });
             }
         }
-    }
-
-    /// Hands `f` the current queue prefix of `core`, served from the cache
-    /// when the entry is still exact for the view (see
-    /// [`CandidateEvaluator::refresh_entry`]), recomputed otherwise.
-    fn with_prefix<R>(
-        &self,
-        view: &SystemView<'_>,
-        core: usize,
-        f: impl FnOnce(Option<&Pmf>) -> R,
-    ) -> R {
-        let Some(cache) = &self.cache else {
-            let (prefix, _) = self.compute_prefix(view, core);
-            return f(prefix.as_ref());
-        };
-        let mut entries = cache.borrow_mut();
-        self.refresh_entry(&mut entries, view, core);
-        f(entry_of(&entries, core).prefix.as_ref())
-    }
-
-    /// Computes the completion-time pmf of assigning `task` to `core` in
-    /// `pstate` at the view's time (exposed for the robustness validator
-    /// and for custom heuristics that need the full distribution).
-    pub fn completion_pmf(
-        &self,
-        view: &SystemView<'_>,
-        task: &Task,
-        core: usize,
-        pstate: PState,
-    ) -> Pmf {
-        self.with_prefix(view, core, |prefix| {
-            self.completion_pmf_with_prefix(view, task, core, pstate, prefix)
-        })
-    }
-
-    fn completion_pmf_with_prefix(
-        &self,
-        view: &SystemView<'_>,
-        task: &Task,
-        core: usize,
-        pstate: PState,
-        prefix: Option<&Pmf>,
-    ) -> Pmf {
-        let node = view.cluster().core(core).node;
-        let exec_pmf = view.table().pmf(task.type_id, node, pstate);
-        match prefix {
-            Some(p) => match &self.scratch {
-                Some(scratch) => {
-                    scratch
-                        .borrow_mut()
-                        .convolve_reduced_into(p, exec_pmf, self.policy)
-                }
-                None => p.convolve(exec_pmf, self.policy),
-            },
-            None => exec_pmf.shift(view.time()),
-        }
-    }
-
-    /// Evaluates one assignment.
-    pub fn evaluate(
-        &self,
-        view: &SystemView<'_>,
-        task: &Task,
-        core: usize,
-        pstate: PState,
-    ) -> AssignmentEstimate {
-        self.with_prefix(view, core, |prefix| {
-            self.evaluate_with_prefix(view, task, core, pstate, prefix)
-        })
     }
 
     fn evaluate_with_prefix(
@@ -760,27 +448,23 @@ impl CandidateEvaluator {
     ) -> (Time, Prob) {
         let node = view.cluster().core(core).node;
         let exec_pmf = view.table().pmf(task.type_id, node, pstate);
-        // The fused path never materializes the completion-time pmf: the
-        // convolution lands in the scratch workspace and the two moments are
-        // read straight off the buffer (busy core), or computed shift-free
-        // from the execution-time pmf (idle core). Both are bit-identical to
-        // the legacy allocating pipeline below.
-        match (&self.scratch, prefix) {
-            (Some(scratch), Some(p)) => {
-                let mut scratch = scratch.borrow_mut();
+        // The completion-time pmf is never materialized: the convolution
+        // lands in the scratch workspace and the two moments are read
+        // straight off the buffer (busy core), or computed shift-free from
+        // the execution-time pmf (idle core). Both are bit-identical to the
+        // by-value `convolve`/`shift` followed by the `Pmf` queries.
+        match prefix {
+            Some(p) => {
+                let mut scratch = self.scratch.borrow_mut();
                 let completion = scratch.convolve_reduced(p, exec_pmf, self.policy);
                 (completion.expectation(), completion.prob_le(task.deadline))
             }
-            (Some(_), None) => {
+            None => {
                 let now = view.time();
                 (
                     shifted_expectation(exec_pmf, now),
                     shifted_prob_le(exec_pmf, now, task.deadline),
                 )
-            }
-            (None, _) => {
-                let completion = self.completion_pmf_with_prefix(view, task, core, pstate, prefix);
-                (completion.expectation(), completion.prob_le(task.deadline))
             }
         }
     }
@@ -788,7 +472,7 @@ impl CandidateEvaluator {
     /// The estimates of every class representative in `reps` — all five
     /// P-states, each against the representative's refreshed cache entry —
     /// handed to `store` by position in `reps`. The one evaluation routine
-    /// of both shard paths.
+    /// of both entry points.
     ///
     /// With at least [`FAN_OUT_MIN_BUSY_CLASSES`](crate::FAN_OUT_MIN_BUSY_CLASSES)
     /// busy classes and a second core, the busy classes' kernel calls are
@@ -807,11 +491,7 @@ impl CandidateEvaluator {
         let prefix_of = |rep: usize| entry_of(entries, rep).prefix.as_ref();
         let busy = reps.iter().filter(|&&rep| prefix_of(rep).is_some()).count();
         let mut fan_out = self.fan_out.borrow_mut();
-        let batch = self.scratch.as_ref().and_then(|scratch| {
-            let batch = fan_out.begin_batch(busy, self.policy, task.deadline)?;
-            Some((batch, scratch))
-        });
-        let Some((mut batch, scratch)) = batch else {
+        let Some(mut batch) = fan_out.begin_batch(busy, self.policy, task.deadline) else {
             for (i, &rep) in reps.iter().enumerate() {
                 let prefix = prefix_of(rep);
                 store(
@@ -831,7 +511,7 @@ impl CandidateEvaluator {
                 });
             }
         }
-        let results = batch.work_batch(&mut scratch.borrow_mut());
+        let results = batch.work_batch(&mut self.scratch.borrow_mut());
         let mut job = 0;
         for (i, &rep) in reps.iter().enumerate() {
             let prefix = prefix_of(rep);
@@ -852,13 +532,10 @@ impl CandidateEvaluator {
     /// Evaluates every (core, P-state) assignment for `task`, in
     /// deterministic core-major / P-state-minor order.
     ///
-    /// With dedup enabled (the default), cores are partitioned into
-    /// equivalence classes keyed by `(node, prefix identity)`; each class
-    /// is evaluated once on its lowest-index representative and the
-    /// estimates replicated to the other members — bit-identical to
+    /// Each equivalence class is evaluated once on its lowest-index member
+    /// and the estimates replicated to the other members — bit-identical to
     /// per-core evaluation, because the estimates depend on the core only
-    /// through its node and queue prefix (DESIGN.md §11). The emitted
-    /// candidate stream is unchanged in length, order, and content.
+    /// through its node template and queue prefix (DESIGN.md §13).
     pub fn evaluate_all(&self, view: &SystemView<'_>, task: &Task) -> Vec<EvaluatedCandidate> {
         let mut out = Vec::with_capacity(view.cluster().total_cores() * NUM_PSTATES);
         self.evaluate_all_into(view, task, &mut out);
@@ -879,122 +556,46 @@ impl CandidateEvaluator {
         let num_cores = view.cluster().total_cores();
         out.clear();
         out.reserve(num_cores * NUM_PSTATES);
-        let Some(dedup) = &self.dedup else {
-            for core in 0..num_cores {
-                self.with_prefix(view, core, |prefix| {
-                    for pstate in PState::ALL {
-                        out.push(EvaluatedCandidate {
-                            core,
-                            pstate,
-                            est: self.evaluate_with_prefix(view, task, core, pstate, prefix),
-                        });
-                    }
+        // Sweep the persistent partition up to date, then emit per class in
+        // core-major order.
+        let mut shard = self.shard.borrow_mut();
+        let mut entries = self.cache.borrow_mut();
+        self.shard_sweep(&mut shard, &mut entries, view);
+        let entries = &*entries;
+        let shard = &mut *shard;
+        shard.stamp += 1;
+        shard.ests_stamp.resize(shard.classes.len(), 0);
+        shard.ests.resize(shard.classes.len(), ZERO_ESTS);
+        let mut reps = self.class_reps.borrow_mut();
+        reps.clear();
+        for core in 0..num_cores {
+            let id = shard.class_of[core] as usize;
+            if shard.ests_stamp[id] != shard.stamp {
+                // First member seen in ascending order == the class
+                // minimum, the representative.
+                shard.ests_stamp[id] = shard.stamp;
+                reps.push(core);
+            }
+        }
+        let ShardIndex { class_of, ests, .. } = shard;
+        self.evaluate_classes(view, task, entries, &reps, |i, class_ests| {
+            ests[class_of[reps[i]] as usize] = class_ests;
+        });
+        for core in 0..num_cores {
+            let class_ests = ests[class_of[core] as usize];
+            for (idx, pstate) in PState::ALL.into_iter().enumerate() {
+                out.push(EvaluatedCandidate {
+                    core,
+                    pstate,
+                    est: class_ests[idx],
                 });
             }
-            return;
-        };
-        if let (Some(shard), Some(cache), Some(_)) = (&self.shard, &self.cache, view.dirty_cores())
-        {
-            // Shard-indexed path: sweep the persistent partition up to
-            // date, then emit per class in core-major order. Counters are
-            // arithmetically exact against the per-event path below. A
-            // view without a dirty-core mailbox takes the per-event path
-            // instead — incrementality (and the warm path's allocation
-            // pin) depends on the engine reporting its epoch bumps.
-            let mut shard = shard.borrow_mut();
-            let mut entries = cache.borrow_mut();
-            self.shard_sweep(&mut shard, &mut entries, view);
-            let entries = &*entries;
-            let shard = &mut *shard;
-            shard.stamp += 1;
-            shard.ests_stamp.resize(shard.classes.len(), 0);
-            shard.ests.resize(shard.classes.len(), ZERO_ESTS);
-            let mut reps = self.class_reps.borrow_mut();
-            reps.clear();
-            for core in 0..num_cores {
-                let id = shard.class_of[core] as usize;
-                if shard.ests_stamp[id] != shard.stamp {
-                    // First member seen in ascending order == the class
-                    // minimum — the same representative the per-event
-                    // partition evaluates.
-                    shard.ests_stamp[id] = shard.stamp;
-                    reps.push(core);
-                }
-            }
-            let ShardIndex { class_of, ests, .. } = shard;
-            self.evaluate_classes(view, task, entries, &reps, |i, class_ests| {
-                ests[class_of[reps[i]] as usize] = class_ests;
-            });
-            for core in 0..num_cores {
-                let class_ests = ests[class_of[core] as usize];
-                for (idx, pstate) in PState::ALL.into_iter().enumerate() {
-                    out.push(EvaluatedCandidate {
-                        core,
-                        pstate,
-                        est: class_ests[idx],
-                    });
-                }
-            }
-            self.note_dedup_event(num_cores, reps.len() as u64);
-            return;
         }
-        let mut scratch = dedup.borrow_mut();
-        scratch.classes.clear();
-        match &self.cache {
-            Some(cache) => {
-                // Refresh every entry first (same per-core lookups — and
-                // hit/miss counts — as the undeduplicated loop), then
-                // partition against the refreshed, now-immutable entries.
-                let mut entries = cache.borrow_mut();
-                for core in 0..num_cores {
-                    self.refresh_entry(&mut entries, view, core);
-                }
-                let entries = &*entries;
-                for core in 0..num_cores {
-                    let entry = entry_of(entries, core);
-                    self.emit_for_core(
-                        &mut scratch,
-                        out,
-                        view,
-                        task,
-                        core,
-                        entry.stamp.fingerprint(),
-                        entry.prefix.as_ref(),
-                        |rep| entry_of(entries, rep).prefix.as_ref(),
-                    );
-                }
-            }
-            None => {
-                // Uncached differential baseline: compute each prefix once
-                // into a local table, then partition identically.
-                // Allocating here is fine — only the cached evaluator
-                // promises the one-allocation steady state.
-                let prefixes: Vec<Option<Pmf>> = (0..num_cores)
-                    .map(|core| self.compute_prefix(view, core).0)
-                    .collect();
-                for core in 0..num_cores {
-                    let prefix = prefixes[core].as_ref();
-                    self.emit_for_core(
-                        &mut scratch,
-                        out,
-                        view,
-                        task,
-                        core,
-                        prefix.map(Pmf::fingerprint),
-                        prefix,
-                        |rep| prefixes[rep].as_ref(),
-                    );
-                }
-            }
-        }
-        self.dedup_classes
-            .set(self.dedup_classes.get() + scratch.classes.len() as u64);
-        self.dedup_events.set(self.dedup_events.get() + 1);
+        self.note_dedup_event(num_cores, reps.len() as u64);
     }
 
-    /// Books one deduplicated mapping event that touched `classes` of the
-    /// `num_cores` cores: same arithmetic as the per-event partition
-    /// (`dedup_skipped` counts `NUM_PSTATES` per replicated core).
+    /// Books one mapping event that touched `classes` of the `num_cores`
+    /// cores (`dedup_skipped` counts `NUM_PSTATES` per replicated core).
     fn note_dedup_event(&self, num_cores: usize, classes: u64) {
         self.dedup_classes.set(self.dedup_classes.get() + classes);
         self.dedup_events.set(self.dedup_events.get() + 1);
@@ -1002,71 +603,19 @@ impl CandidateEvaluator {
             .set(self.dedup_skipped.get() + (num_cores as u64 - classes) * NUM_PSTATES as u64);
     }
 
-    /// Resolves `core` against the equivalence classes discovered so far
-    /// this mapping event — replicating an existing class's estimates when
-    /// the `(node, fingerprint)` key matches *and* `rep_prefix(class.rep)`
-    /// is bit-identical to `prefix` (fingerprint equality alone is never
-    /// trusted), opening a new class with `core` as representative
-    /// otherwise — and appends the core's `NUM_PSTATES` candidates.
-    #[allow(clippy::too_many_arguments)]
-    fn emit_for_core<'p>(
-        &self,
-        scratch: &mut DedupScratch,
-        out: &mut Vec<EvaluatedCandidate>,
-        view: &SystemView<'_>,
-        task: &Task,
-        core: usize,
-        fingerprint: Option<u64>,
-        prefix: Option<&'p Pmf>,
-        rep_prefix: impl Fn(usize) -> Option<&'p Pmf>,
-    ) {
-        let node = view.cluster().core(core).node;
-        let found = scratch.classes.iter().position(|c| {
-            c.node == node
-                && c.fingerprint == fingerprint
-                && prefix_bit_eq(prefix, rep_prefix(c.rep))
-        });
-        let class = match found {
-            Some(idx) => {
-                self.dedup_skipped
-                    .set(self.dedup_skipped.get() + NUM_PSTATES as u64);
-                idx
-            }
-            None => {
-                let ests = PState::ALL
-                    .map(|pstate| self.evaluate_with_prefix(view, task, core, pstate, prefix));
-                scratch.classes.push(DedupClass {
-                    node,
-                    fingerprint,
-                    rep: core,
-                    ests,
-                });
-                scratch.classes.len() - 1
-            }
-        };
-        let ests = scratch.classes[class].ests;
-        for (idx, pstate) in PState::ALL.into_iter().enumerate() {
-            out.push(EvaluatedCandidate {
-                core,
-                pstate,
-                est: ests[idx],
-            });
-        }
-    }
-
     /// Brings the shard index exactly up to date with `view` (DESIGN.md
     /// §13): determines which cores' memberships could have drifted since
     /// the last sweep — epoch bumps via the engine's dirty-core mailbox,
-    /// validity-window expiries via the expiry heap, out-of-sweep
-    /// recomputes via the pending queue — detaches exactly those, then
-    /// refreshes and re-joins them in ascending core order. Falls back to
-    /// a full rebuild whenever incremental correctness can't be proven
-    /// (no mailbox, dropped marks, size change, backward time step).
+    /// validity-window expiries via the expiry heap — detaches exactly
+    /// those, then refreshes and re-joins them in ascending core order.
+    /// Falls back to a full rebuild whenever incremental correctness can't
+    /// be proven (no mailbox, dropped marks, size change, backward time
+    /// step); the incremental path is an optimisation of that rebuild.
     ///
-    /// Cache-counter accounting matches the per-event path exactly: every
-    /// candidate core is refreshed through
-    /// [`CandidateEvaluator::refresh_entry`] (one hit or miss each), and
-    /// every untouched core is a guaranteed hit, booked in bulk.
+    /// Cache-counter accounting is the same either way: every candidate
+    /// core is refreshed through [`CandidateEvaluator::refresh_entry`] (one
+    /// hit or miss each), and every untouched core is a guaranteed hit,
+    /// booked in bulk.
     fn shard_sweep(
         &self,
         shard: &mut ShardIndex,
@@ -1080,10 +629,7 @@ impl CandidateEvaluator {
         }
         let mut candidates = std::mem::take(&mut shard.candidates);
         candidates.clear();
-        let mut pending = self.rekey_pending.borrow_mut();
-        // An unbounded pending backlog (e.g. validator loops recomputing
-        // entries between events) makes a rebuild cheaper than a sweep.
-        let mut full = shard.needs_rebuild || pending.len() > n;
+        let mut full = shard.needs_rebuild;
         if !full {
             match view.dirty_cores() {
                 // `cursor > head` means this is a different mailbox than
@@ -1105,7 +651,6 @@ impl CandidateEvaluator {
             shard.begin_rebuild(n);
             candidates.clear();
             candidates.extend(0..n as u32);
-            pending.clear();
             shard.cursor = view.dirty_cores().map_or(0, DirtyCores::head);
         } else {
             // Entries whose exact-validity window has closed may now be
@@ -1119,18 +664,15 @@ impl CandidateEvaluator {
                 shard.expiry.pop();
                 candidates.push(top.core);
             }
-            candidates.append(&mut pending);
             candidates.sort_unstable();
             candidates.dedup();
         }
-        drop(pending);
         // Two-phase: detach every candidate first, so phase 2's bit-identity
         // checks only ever compare against representatives that are either
         // untouched (still fresh) or already refreshed this sweep.
         for &core in &candidates {
             shard.leave(core);
         }
-        self.in_sweep.set(true);
         for &core in &candidates {
             let core = core as usize;
             self.refresh_entry(entries, view, core);
@@ -1153,10 +695,9 @@ impl CandidateEvaluator {
                 prefix_bit_eq(prefix, entry_of(entries_ref, rep as usize).prefix.as_ref())
             });
         }
-        self.in_sweep.set(false);
         // Every non-candidate core's entry is provably fresh (epoch
-        // unmarked, validity window still open, no out-of-sweep recompute):
-        // book the hits the per-event path would count one by one.
+        // unmarked, validity window still open): book the hits a full
+        // rebuild would count one by one.
         self.hits
             .set(self.hits.get() + (n - candidates.len()) as u64);
         shard.candidates = candidates;
@@ -1169,27 +710,19 @@ impl CandidateEvaluator {
     /// estimates computed once on each class's minimum member — without
     /// materializing the `cores × P-states` candidate stream. `out` is
     /// cleared and refilled (capacity retained) in deterministic key order.
-    ///
-    /// Returns `false`, leaving `out` empty, when the shard index is
-    /// disabled or the view carries no dirty-core mailbox (incrementality
-    /// depends on the engine reporting epoch bumps); callers fall back to
-    /// [`CandidateEvaluator::evaluate_all_into`]. Cache and dedup counters
-    /// advance exactly as a full-scan `evaluate_all` would.
+    /// Cache and class counters advance exactly as
+    /// [`CandidateEvaluator::evaluate_all_into`]'s would.
     // lint: alloc-free
     pub fn evaluate_indexed_into(
         &self,
         view: &SystemView<'_>,
         task: &Task,
         out: &mut Vec<ClassCandidate>,
-    ) -> bool {
+    ) {
         out.clear();
-        let (Some(shard), Some(cache), Some(_)) = (&self.shard, &self.cache, view.dirty_cores())
-        else {
-            return false;
-        };
         let num_cores = view.cluster().total_cores();
-        let mut shard = shard.borrow_mut();
-        let mut entries = cache.borrow_mut();
+        let mut shard = self.shard.borrow_mut();
+        let mut entries = self.cache.borrow_mut();
         self.shard_sweep(&mut shard, &mut entries, view);
         let entries = &*entries;
         let ShardIndex {
@@ -1235,7 +768,6 @@ impl CandidateEvaluator {
         debug_assert_eq!(out.len(), *active);
         self.evaluate_classes(view, task, entries, &reps, |i, ests| out[i].ests = ests);
         self.note_dedup_event(num_cores, out.len() as u64);
-        true
     }
 }
 
@@ -1271,6 +803,75 @@ mod tests {
         vec![CoreState::new(); scenario.cluster().total_cores()]
     }
 
+    /// `core`'s queue prefix, built on a fresh workspace.
+    fn prefix(view: &SystemView<'_>, core: usize) -> Option<Pmf> {
+        prefix_with_validity(
+            view,
+            core,
+            ReductionPolicy::default(),
+            &mut PmfScratch::new(),
+        )
+        .0
+    }
+
+    /// One candidate's estimate, read off a full `evaluate_all`.
+    fn estimate(
+        ev: &CandidateEvaluator,
+        view: &SystemView<'_>,
+        task: &Task,
+        core: usize,
+        pstate: PState,
+    ) -> AssignmentEstimate {
+        let all = ev.evaluate_all(view, task);
+        let cand = all[core * NUM_PSTATES + pstate.index()];
+        assert_eq!((cand.core, cand.pstate), (core, pstate));
+        cand.est
+    }
+
+    /// Every core evaluated on its own — prefix rebuilt from scratch, no
+    /// cache entry, no class — in `evaluate_all`'s order.
+    fn per_core(view: &SystemView<'_>, task: &Task) -> Vec<EvaluatedCandidate> {
+        let ev = CandidateEvaluator::default();
+        let mut out = Vec::new();
+        for core in 0..view.cluster().total_cores() {
+            let prefix = prefix(view, core);
+            for pstate in PState::ALL {
+                out.push(EvaluatedCandidate {
+                    core,
+                    pstate,
+                    est: ev.evaluate_with_prefix(view, task, core, pstate, prefix.as_ref()),
+                });
+            }
+        }
+        out
+    }
+
+    /// The completion-time pmf of `task` on `core` in `pstate`, written
+    /// with the by-value pmf operations (Sec. IV-B directly).
+    fn by_value_completion(view: &SystemView<'_>, task: &Task, core: usize, pstate: PState) -> Pmf {
+        let policy = ReductionPolicy::default();
+        let node = view.cluster().core(core).node;
+        let table = view.table();
+        let state = view.core_state(core);
+        let mut acc = state.executing().map(|exec| {
+            let mut pmf = table.pmf(exec.type_id, node, exec.pstate).shift(exec.start);
+            pmf.truncate_below_or_floor_in_place(view.time());
+            pmf
+        });
+        for queued in state.queued() {
+            let exec_pmf = table.pmf(queued.type_id, node, queued.pstate);
+            acc = Some(match acc {
+                Some(prefix) => prefix.convolve(exec_pmf, policy),
+                None => exec_pmf.shift(view.time()),
+            });
+        }
+        let exec_pmf = table.pmf(task.type_id, node, pstate);
+        match acc {
+            Some(prefix) => prefix.convolve(exec_pmf, policy),
+            None => exec_pmf.shift(view.time()),
+        }
+    }
+
     #[test]
     fn idle_core_completion_is_shifted_exec_pmf() {
         let s = scenario();
@@ -1278,11 +879,14 @@ mod tests {
         let view = SystemView::new(s.cluster(), s.table(), &cores, 100.0, 1, 60);
         let task = mk_task(&s, 100.0);
         let ev = CandidateEvaluator::default();
-        let ct = ev.completion_pmf(&view, &task, 0, PState::P0);
+        let est = estimate(&ev, &view, &task, 0, PState::P0);
         let exec = s
             .table()
             .pmf(task.type_id, s.cluster().core(0).node, PState::P0);
-        assert!((ct.expectation() - (exec.expectation() + 100.0)).abs() < 1e-9);
+        assert!((est.ect - (exec.expectation() + 100.0)).abs() < 1e-9);
+        let shifted = exec.shift(100.0);
+        assert_eq!(est.ect.to_bits(), shifted.expectation().to_bits());
+        assert_eq!(est.rho.to_bits(), shifted.prob_le(task.deadline).to_bits());
     }
 
     #[test]
@@ -1290,7 +894,10 @@ mod tests {
         let s = scenario();
         let cores = idle_cores(&s);
         let view = SystemView::new(s.cluster(), s.table(), &cores, 0.0, 1, 60);
-        assert!(pending_completion_pmf(&view, 0, ReductionPolicy::default()).is_none());
+        let (pmf, valid_until) =
+            prefix_with_validity(&view, 0, ReductionPolicy::default(), &mut PmfScratch::new());
+        assert!(pmf.is_none());
+        assert_eq!(valid_until, f64::INFINITY, "an idle prefix never expires");
     }
 
     #[test]
@@ -1307,8 +914,8 @@ mod tests {
         let view = SystemView::new(s.cluster(), s.table(), &cores, 10.0, 1, 60);
         let task = mk_task(&s, 10.0);
         let ev = CandidateEvaluator::default();
-        let busy = ev.evaluate(&view, &task, 0, PState::P0);
-        let idle = ev.evaluate(&view, &task, 1, PState::P0);
+        let busy = estimate(&ev, &view, &task, 0, PState::P0);
+        let idle = estimate(&ev, &view, &task, 1, PState::P0);
         // Core 1 may be on a different node, so compare like-for-like: the
         // candidate on the busy core must complete later than its own
         // execution time would allow from t_l.
@@ -1332,9 +939,7 @@ mod tests {
         });
         let one_depth = {
             let view = SystemView::new(s.cluster(), s.table(), &cores, 5.0, 1, 60);
-            pending_completion_pmf(&view, 0, ReductionPolicy::default())
-                .unwrap()
-                .expectation()
+            prefix(&view, 0).unwrap().expectation()
         };
         cores[0].enqueue(QueuedTask {
             task: TaskId(9),
@@ -1344,9 +949,7 @@ mod tests {
         });
         let two_depth = {
             let view = SystemView::new(s.cluster(), s.table(), &cores, 5.0, 1, 60);
-            pending_completion_pmf(&view, 0, ReductionPolicy::default())
-                .unwrap()
-                .expectation()
+            prefix(&view, 0).unwrap().expectation()
         };
         let queued_eet = s
             .table()
@@ -1373,7 +976,7 @@ mod tests {
         // predicted completion is pushed to at least `now`.
         let late = 3.0 * eet;
         let view = SystemView::new(s.cluster(), s.table(), &cores, late, 1, 60);
-        let pmf = pending_completion_pmf(&view, 0, ReductionPolicy::default()).unwrap();
+        let pmf = prefix(&view, 0).unwrap();
         assert!(pmf.min_value() >= late - 1e-9);
     }
 
@@ -1403,9 +1006,9 @@ mod tests {
         let ev = CandidateEvaluator::default();
         let n = s.cluster().total_cores() as u64;
         let first = ev.evaluate_all(&view, &task);
-        assert_eq!(ev.prefix_cache_stats(), Some((0, n)));
+        assert_eq!(ev.prefix_cache_stats(), (0, n));
         let second = ev.evaluate_all(&view, &task);
-        assert_eq!(ev.prefix_cache_stats(), Some((n, n)));
+        assert_eq!(ev.prefix_cache_stats(), (n, n));
         assert!(candidates_bit_eq(&first, &second));
     }
 
@@ -1415,9 +1018,10 @@ mod tests {
         let mut cores = idle_cores(&s);
         let task = mk_task(&s, 5.0);
         let ev = CandidateEvaluator::default();
+        let n = s.cluster().total_cores() as u64;
         {
             let view = SystemView::new(s.cluster(), s.table(), &cores, 5.0, 1, 60);
-            let _ = ev.evaluate(&view, &task, 0, PState::P0);
+            let _ = ev.evaluate_all(&view, &task);
         }
         cores[0].start(ExecutingTask {
             task: TaskId(3),
@@ -1427,15 +1031,13 @@ mod tests {
             deadline: 5000.0,
         });
         let view = SystemView::new(s.cluster(), s.table(), &cores, 5.0, 1, 60);
-        let cached = ev.evaluate(&view, &task, 0, PState::P0);
-        let reference = CandidateEvaluator::uncached(ReductionPolicy::default()).evaluate(
-            &view,
-            &task,
-            0,
-            PState::P0,
+        let cached = ev.evaluate_all(&view, &task);
+        assert_eq!(
+            ev.prefix_cache_stats(),
+            (n - 1, n + 1),
+            "the mutated core must miss, every other core hit"
         );
-        assert_eq!(ev.prefix_cache_stats(), Some((0, 2)), "mutation must miss");
-        assert!(cached.bit_eq(&reference));
+        assert!(candidates_bit_eq(&cached, &per_core(&view, &task)));
     }
 
     #[test]
@@ -1451,22 +1053,21 @@ mod tests {
         });
         let task = mk_task(&s, 0.0);
         let ev = CandidateEvaluator::default();
+        let n = s.cluster().total_cores() as u64;
         let view = SystemView::new(s.cluster(), s.table(), &cores, 1.0, 1, 60);
-        let at_t1 = ev.completion_pmf(&view, &task, 0, PState::P0);
+        let at_t1 = ev.evaluate_all(&view, &task);
         // The executing pmf's support starts well above t=1, so a small
-        // advance keeps the truncation unchanged: the lookup must hit and
-        // the pmf must be bit-identical to an uncached recompute.
+        // advance keeps the truncation unchanged: every lookup must hit,
+        // core 0's completion is unchanged, and every estimate is
+        // bit-identical to a per-core recompute.
         let later = SystemView::new(s.cluster(), s.table(), &cores, 2.0, 2, 60);
-        let at_t2 = ev.completion_pmf(&later, &task, 0, PState::P0);
-        assert_eq!(ev.prefix_cache_stats(), Some((1, 1)));
-        assert_eq!(at_t1, at_t2);
-        let reference = CandidateEvaluator::uncached(ReductionPolicy::default()).completion_pmf(
-            &later,
-            &task,
-            0,
-            PState::P0,
-        );
-        assert_eq!(at_t2, reference);
+        let at_t2 = ev.evaluate_all(&later, &task);
+        assert_eq!(ev.prefix_cache_stats(), (n, n));
+        assert!(candidates_bit_eq(
+            &at_t1[..NUM_PSTATES],
+            &at_t2[..NUM_PSTATES]
+        ));
+        assert!(candidates_bit_eq(&at_t2, &per_core(&later, &task)));
     }
 
     #[test]
@@ -1482,23 +1083,18 @@ mod tests {
         });
         let task = mk_task(&s, 0.0);
         let ev = CandidateEvaluator::default();
+        let n = s.cluster().total_cores() as u64;
         let node = s.cluster().core(0).node;
         let raw = s.table().pmf(TaskTypeId(1), node, PState::P4);
         let view = SystemView::new(s.cluster(), s.table(), &cores, 1.0, 1, 60);
-        let _ = ev.completion_pmf(&view, &task, 0, PState::P0);
+        let _ = ev.evaluate_all(&view, &task);
         // Jump past the support's start: some impulses fall into the past,
-        // the truncation changes, and the cache must recompute.
+        // the truncation changes, and the cache must recompute core 0.
         let late_t = raw.min_value() + raw.expectation() * 0.5;
         let late = SystemView::new(s.cluster(), s.table(), &cores, late_t, 2, 60);
-        let recomputed = ev.completion_pmf(&late, &task, 0, PState::P0);
-        assert_eq!(ev.prefix_cache_stats(), Some((0, 2)));
-        let reference = CandidateEvaluator::uncached(ReductionPolicy::default()).completion_pmf(
-            &late,
-            &task,
-            0,
-            PState::P0,
-        );
-        assert_eq!(recomputed, reference);
+        let recomputed = ev.evaluate_all(&late, &task);
+        assert_eq!(ev.prefix_cache_stats(), (n - 1, n + 1));
+        assert!(candidates_bit_eq(&recomputed, &per_core(&late, &task)));
     }
 
     #[test]
@@ -1511,22 +1107,10 @@ mod tests {
         let _ = ev.evaluate_all(&view, &task);
         let _ = ev.evaluate_all(&view, &task);
         ev.reset_cache();
-        assert_eq!(ev.prefix_cache_stats(), Some((0, 0)));
+        assert_eq!(ev.prefix_cache_stats(), (0, 0));
         let _ = ev.evaluate_all(&view, &task);
         let n = s.cluster().total_cores() as u64;
-        assert_eq!(
-            ev.prefix_cache_stats(),
-            Some((0, n)),
-            "entries were dropped"
-        );
-    }
-
-    #[test]
-    fn uncached_evaluator_reports_no_stats() {
-        let ev = CandidateEvaluator::uncached(ReductionPolicy::default());
-        assert_eq!(ev.prefix_cache_stats(), None);
-        ev.reset_cache(); // must be a harmless no-op
-        assert_eq!(ev.prefix_cache_stats(), None);
+        assert_eq!(ev.prefix_cache_stats(), (0, n), "entries were dropped");
     }
 
     #[test]
@@ -1561,20 +1145,14 @@ mod tests {
         let cores = busy_cores(&s);
         let view = SystemView::new(s.cluster(), s.table(), &cores, 50.0, 1, 60);
         let task = mk_task(&s, 50.0);
-        for (fused, legacy) in [
-            (
-                CandidateEvaluator::default(),
-                CandidateEvaluator::default().without_fused_kernel(),
-            ),
-            (
-                CandidateEvaluator::uncached(ReductionPolicy::default()),
-                CandidateEvaluator::uncached(ReductionPolicy::default()).without_fused_kernel(),
-            ),
-        ] {
-            assert!(candidates_bit_eq(
-                &fused.evaluate_all(&view, &task),
-                &legacy.evaluate_all(&view, &task)
-            ));
+        let all = CandidateEvaluator::default().evaluate_all(&view, &task);
+        for cand in &all {
+            let completion = by_value_completion(&view, &task, cand.core, cand.pstate);
+            assert_eq!(cand.est.ect.to_bits(), completion.expectation().to_bits());
+            assert_eq!(
+                cand.est.rho.to_bits(),
+                completion.prob_le(task.deadline).to_bits()
+            );
         }
     }
 
@@ -1584,13 +1162,15 @@ mod tests {
         let cores = busy_cores(&s);
         let view = SystemView::new(s.cluster(), s.table(), &cores, 50.0, 1, 60);
         let task = mk_task(&s, 50.0);
-        let fused = CandidateEvaluator::default();
-        let legacy = CandidateEvaluator::default().without_fused_kernel();
+        let node = s.cluster().core(0).node;
+        let prefix = prefix(&view, 0).expect("core 0 is busy");
+        let mut scratch = PmfScratch::new();
         for pstate in PState::ALL {
-            assert_eq!(
-                fused.completion_pmf(&view, &task, 0, pstate),
-                legacy.completion_pmf(&view, &task, 0, pstate)
-            );
+            let exec = s.table().pmf(task.type_id, node, pstate);
+            let fused = scratch
+                .convolve_reduced(&prefix, exec, ReductionPolicy::default())
+                .to_pmf();
+            assert_eq!(fused, by_value_completion(&view, &task, 0, pstate));
         }
     }
 
@@ -1600,13 +1180,18 @@ mod tests {
         let cores = busy_cores(&s);
         let view = SystemView::new(s.cluster(), s.table(), &cores, 50.0, 1, 60);
         let task = mk_task(&s, 50.0);
-        let ev = CandidateEvaluator::default().without_candidate_dedup();
+        let ev = CandidateEvaluator::default();
         assert_eq!(ev.fused_kernel_calls(), 0);
         let _ = ev.evaluate_all(&view, &task);
-        // Per busy core: one prefix convolution (the queued task) plus one
-        // candidate convolution per P-state.
+        // One prefix convolution per busy core (the queued task) plus one
+        // candidate convolution per class and P-state.
         let n = s.cluster().total_cores() as u64;
-        assert_eq!(ev.fused_kernel_calls(), n * (1 + PState::ALL.len() as u64));
+        let (classes, _) = ev.dedup_stats();
+        let per_decision = classes * PState::ALL.len() as u64;
+        assert_eq!(ev.fused_kernel_calls(), n + per_decision);
+        // Warm: every prefix is a cache hit, only the candidates convolve.
+        let _ = ev.evaluate_all(&view, &task);
+        assert_eq!(ev.fused_kernel_calls(), n + 2 * per_decision);
         ev.reset_cache();
         assert_eq!(ev.fused_kernel_calls(), 0);
     }
@@ -1620,7 +1205,7 @@ mod tests {
         let ev = CandidateEvaluator::default();
         let _ = ev.evaluate_all(&view, &task);
         let n = s.cluster().total_cores() as u64;
-        let (classes, events) = ev.dedup_stats().expect("dedup is on by default");
+        let (classes, events) = ev.dedup_stats();
         assert_eq!(events, 1);
         assert!(classes <= n, "at most one class per core");
         // One prefix convolution per core (every entry is refreshed), but
@@ -1644,10 +1229,12 @@ mod tests {
         let ev = CandidateEvaluator::default();
         let all = ev.evaluate_all(&view, &task);
         assert_eq!(all.len(), s.cluster().total_cores() * NUM_PSTATES);
-        // Every idle core of a node is interchangeable: exactly one class
+        // Idle cores of one node template are interchangeable; the test
+        // cluster gives every node its own template, so exactly one class
         // per node.
         let nodes = s.cluster().num_nodes() as u64;
-        assert_eq!(ev.dedup_stats(), Some((nodes, 1)));
+        assert_eq!(s.cluster().num_templates() as u64, nodes);
+        assert_eq!(ev.dedup_stats(), (nodes, 1));
         let n = s.cluster().total_cores() as u64;
         assert_eq!(
             ev.dedup_skipped_evaluations(),
@@ -1661,35 +1248,11 @@ mod tests {
         for cores in [idle_cores(&s), busy_cores(&s)] {
             let view = SystemView::new(s.cluster(), s.table(), &cores, 50.0, 1, 60);
             let task = mk_task(&s, 50.0);
-            for (deduped, reference) in [
-                (
-                    CandidateEvaluator::default(),
-                    CandidateEvaluator::default().without_candidate_dedup(),
-                ),
-                (
-                    CandidateEvaluator::uncached(ReductionPolicy::default()),
-                    CandidateEvaluator::uncached(ReductionPolicy::default())
-                        .without_candidate_dedup(),
-                ),
-            ] {
-                assert!(candidates_bit_eq(
-                    &deduped.evaluate_all(&view, &task),
-                    &reference.evaluate_all(&view, &task)
-                ));
-            }
+            assert!(candidates_bit_eq(
+                &CandidateEvaluator::default().evaluate_all(&view, &task),
+                &per_core(&view, &task)
+            ));
         }
-    }
-
-    #[test]
-    fn without_dedup_reports_no_stats() {
-        let s = scenario();
-        let cores = idle_cores(&s);
-        let view = SystemView::new(s.cluster(), s.table(), &cores, 0.0, 1, 60);
-        let task = mk_task(&s, 0.0);
-        let ev = CandidateEvaluator::default().without_candidate_dedup();
-        let _ = ev.evaluate_all(&view, &task);
-        assert_eq!(ev.dedup_stats(), None);
-        assert_eq!(ev.dedup_skipped_evaluations(), 0);
     }
 
     #[test]
@@ -1701,12 +1264,12 @@ mod tests {
         let ev = CandidateEvaluator::default();
         let _ = ev.evaluate_all(&view, &task);
         ev.reset_cache();
-        assert_eq!(ev.dedup_stats(), Some((0, 0)));
+        assert_eq!(ev.dedup_stats(), (0, 0));
         assert_eq!(ev.dedup_skipped_evaluations(), 0);
     }
 
     /// A fanned-out decision's kernel calls — the helper's share included —
-    /// equal the serial reference's, and `reset_cache` leaves no helper
+    /// equal a serial evaluation's, and `reset_cache` leaves no helper
     /// share behind: the next decision counts from zero.
     #[test]
     fn fanned_out_kernel_calls_fold_and_reset_with_the_cache() {
@@ -1731,19 +1294,23 @@ mod tests {
         let dirty = DirtyCores::default();
         let view = SystemView::new(s.cluster(), s.table(), &cores, 50.0, 1, 60).with_dirty(&dirty);
         let task = mk_task(&s, 50.0);
-        let serial = CandidateEvaluator::default().without_shard_index();
-        let reference = serial.evaluate_all(&view, &task);
-        let per_decision = serial.fused_kernel_calls();
+        let reference = per_core(&view, &task);
 
         let ev = CandidateEvaluator::default();
         let mut classes = Vec::new();
         for _ in 0..2 {
             ev.reset_cache();
             assert_eq!(ev.fused_kernel_calls(), 0);
-            assert!(ev.evaluate_indexed_into(&view, &task, &mut classes));
-            assert_eq!(ev.fused_kernel_calls(), per_decision);
+            ev.evaluate_indexed_into(&view, &task, &mut classes);
+            // No queued tasks: the prefixes need no convolution, so the
+            // serial count is one kernel call per class and P-state.
+            assert_eq!(
+                ev.fused_kernel_calls(),
+                (classes.len() * NUM_PSTATES) as u64
+            );
         }
         let busy = classes.iter().filter(|c| c.depth > 0).count();
+        assert_eq!(busy, classes.len(), "every core is busy");
         assert!(
             busy >= crate::FAN_OUT_MIN_BUSY_CLASSES,
             "{busy} busy classes"
@@ -1775,36 +1342,25 @@ mod tests {
             });
         }
         let view = SystemView::new(cluster, s.table(), &cores, 10.0, 1, 60);
-        for ev in [
-            CandidateEvaluator::default(),
-            CandidateEvaluator::uncached(ReductionPolicy::default()),
-        ] {
-            let f0 = ev.prefix_fingerprint(&view, 0);
-            assert!(f0.is_some(), "busy core has a prefix to fingerprint");
-            assert_eq!(f0, ev.prefix_fingerprint(&view, twin));
-            // An unloaded core has no prefix, hence no fingerprint.
-            let idle = (0..cluster.total_cores())
-                .find(|&c| c != 0 && c != twin)
-                .expect("more than two cores");
-            assert_eq!(ev.prefix_fingerprint(&view, idle), None);
-        }
-    }
-
-    #[test]
-    fn legacy_evaluator_reports_zero_kernel_calls() {
-        let s = scenario();
-        let cores = busy_cores(&s);
-        let view = SystemView::new(s.cluster(), s.table(), &cores, 50.0, 1, 60);
-        let task = mk_task(&s, 50.0);
-        let ev = CandidateEvaluator::default().without_fused_kernel();
-        let _ = ev.evaluate_all(&view, &task);
-        assert_eq!(ev.fused_kernel_calls(), 0);
+        let ev = CandidateEvaluator::default();
+        let _ = ev.evaluate_all(&view, &mk_task(&s, 10.0));
+        let entries = ev.cache.borrow();
+        let fingerprint = |core| entry_of(&entries, core).stamp.fingerprint();
+        let f0 = fingerprint(0);
+        assert!(f0.is_some(), "busy core has a prefix to fingerprint");
+        assert_eq!(f0, fingerprint(twin));
+        assert_eq!(f0, prefix(&view, 0).as_ref().map(Pmf::fingerprint));
+        // An unloaded core has no prefix, hence no fingerprint.
+        let idle = (0..cluster.total_cores())
+            .find(|&c| c != 0 && c != twin)
+            .expect("more than two cores");
+        assert_eq!(fingerprint(idle), None);
     }
 
     /// Asserts every observable counter of the two evaluators agrees —
-    /// the shard-indexed path must be *arithmetically* exact, not just
-    /// bit-identical in its candidate stream, because the committed
-    /// artifacts embed these counters.
+    /// the incremental sweep must be *arithmetically* exact against a full
+    /// rebuild, not just bit-identical in its candidate stream, because the
+    /// committed artifacts embed these counters.
     fn assert_counters_eq(a: &CandidateEvaluator, b: &CandidateEvaluator) {
         assert_eq!(a.prefix_cache_stats(), b.prefix_cache_stats());
         assert_eq!(a.dedup_stats(), b.dedup_stats());
@@ -1812,27 +1368,27 @@ mod tests {
         assert_eq!(a.fused_kernel_calls(), b.fused_kernel_calls());
     }
 
+    /// `shard` sweeps incrementally through a mailbox view; `rebuilt` sees
+    /// the same cores through a bare view, so it rebuilds every call.
     #[test]
     fn shard_indexed_evaluate_all_stays_exact_across_mutations() {
         let s = scenario();
         let mut cores = idle_cores(&s);
         let mut dirty = ecds_sim::DirtyCores::default();
         let shard = CandidateEvaluator::default();
-        let reference = CandidateEvaluator::default().without_shard_index();
-        assert!(shard.has_shard_index());
-        assert!(!reference.has_shard_index());
+        let rebuilt = CandidateEvaluator::default();
         let n = s.cluster().total_cores();
         let mut now = 0.0;
         for step in 0..8 {
             let task = mk_task(&s, now);
             {
+                let bare = SystemView::new(s.cluster(), s.table(), &cores, now, 1 + step, 60);
                 let view = SystemView::new(s.cluster(), s.table(), &cores, now, 1 + step, 60)
                     .with_dirty(&dirty);
-                assert!(candidates_bit_eq(
-                    &shard.evaluate_all(&view, &task),
-                    &reference.evaluate_all(&view, &task)
-                ));
-                assert_counters_eq(&shard, &reference);
+                let got = shard.evaluate_all(&view, &task);
+                assert!(candidates_bit_eq(&got, &rebuilt.evaluate_all(&bare, &task)));
+                assert!(candidates_bit_eq(&got, &per_core(&bare, &task)));
+                assert_counters_eq(&shard, &rebuilt);
             }
             // Mutate a handful of cores — epoch bumps the engine would
             // report through the mailbox — and advance time unevenly so
@@ -1867,12 +1423,13 @@ mod tests {
         let cores = busy_cores(&s);
         let dirty = ecds_sim::DirtyCores::default();
         let shard = CandidateEvaluator::default();
-        let reference = CandidateEvaluator::default().without_shard_index();
+        let rebuilt = CandidateEvaluator::default();
         let task = mk_task(&s, 1.0);
         let view = SystemView::new(s.cluster(), s.table(), &cores, 1.0, 1, 60).with_dirty(&dirty);
+        let bare = SystemView::new(s.cluster(), s.table(), &cores, 1.0, 1, 60);
         assert!(candidates_bit_eq(
             &shard.evaluate_all(&view, &task),
-            &reference.evaluate_all(&view, &task)
+            &rebuilt.evaluate_all(&bare, &task)
         ));
         // Jump far past every executing pmf's first impulse with NO dirty
         // marks: every prefix's truncation changes, so both evaluators
@@ -1884,44 +1441,17 @@ mod tests {
         let late_task = mk_task(&s, late_t);
         let late =
             SystemView::new(s.cluster(), s.table(), &cores, late_t, 2, 60).with_dirty(&dirty);
+        let late_bare = SystemView::new(s.cluster(), s.table(), &cores, late_t, 2, 60);
+        let got = shard.evaluate_all(&late, &late_task);
         assert!(candidates_bit_eq(
-            &shard.evaluate_all(&late, &late_task),
-            &reference.evaluate_all(&late, &late_task)
+            &got,
+            &rebuilt.evaluate_all(&late_bare, &late_task)
         ));
-        assert_counters_eq(&shard, &reference);
-        let (_, misses) = shard.prefix_cache_stats().unwrap();
+        assert!(candidates_bit_eq(&got, &per_core(&late_bare, &late_task)));
+        assert_counters_eq(&shard, &rebuilt);
+        let (_, misses) = shard.prefix_cache_stats();
         let n = s.cluster().total_cores() as u64;
         assert!(misses > n, "the second event must have recomputed");
-    }
-
-    #[test]
-    fn shard_revalidates_out_of_sweep_recomputes() {
-        let s = scenario();
-        let cores = busy_cores(&s);
-        let dirty = ecds_sim::DirtyCores::default();
-        let shard = CandidateEvaluator::default();
-        let reference = CandidateEvaluator::default().without_shard_index();
-        let task = mk_task(&s, 1.0);
-        let view = SystemView::new(s.cluster(), s.table(), &cores, 1.0, 1, 60).with_dirty(&dirty);
-        let _ = shard.evaluate_all(&view, &task);
-        let _ = reference.evaluate_all(&view, &task);
-        // A validator-style single-core lookup between events, late enough
-        // to recompute core 0's entry outside any sweep: the shard must
-        // revalidate its membership at the next event.
-        let node = s.cluster().core(0).node;
-        let raw = s.table().pmf(TaskTypeId(0), node, PState::P1);
-        let late_t = raw.min_value() + raw.expectation();
-        let late_task = mk_task(&s, late_t);
-        let late =
-            SystemView::new(s.cluster(), s.table(), &cores, late_t, 2, 60).with_dirty(&dirty);
-        let a = shard.evaluate(&late, &late_task, 0, PState::P0);
-        let b = reference.evaluate(&late, &late_task, 0, PState::P0);
-        assert!(a.bit_eq(&b));
-        assert!(candidates_bit_eq(
-            &shard.evaluate_all(&late, &late_task),
-            &reference.evaluate_all(&late, &late_task)
-        ));
-        assert_counters_eq(&shard, &reference);
     }
 
     #[test]
@@ -1934,7 +1464,7 @@ mod tests {
         let view = SystemView::new(s.cluster(), s.table(), &cores, 1.0, 1, 60).with_dirty(&dirty);
         let before = shard.evaluate_all(&view, &task);
         shard.reset_cache();
-        let fresh = CandidateEvaluator::default().without_shard_index();
+        let fresh = CandidateEvaluator::default();
         assert!(candidates_bit_eq(
             &shard.evaluate_all(&view, &task),
             &fresh.evaluate_all(&view, &task)
@@ -1955,14 +1485,12 @@ mod tests {
         let task = mk_task(&s, 1.0);
         let view = SystemView::new(s.cluster(), s.table(), &cores, 1.0, 1, 60).with_dirty(&dirty);
         let mut classes = Vec::new();
-        assert!(ev.evaluate_indexed_into(&view, &task, &mut classes));
+        ev.evaluate_indexed_into(&view, &task, &mut classes);
         let n = s.cluster().total_cores();
         assert_eq!(classes.iter().map(|c| c.members).sum::<usize>(), n);
         // Each class's estimates are bit-identical to the representative's
-        // candidates in the materialized stream (same sweep: cache hits).
-        let all = CandidateEvaluator::default()
-            .without_shard_index()
-            .evaluate_all(&view, &task);
+        // candidates in the per-core stream.
+        let all = per_core(&view, &task);
         for class in &classes {
             assert!(class.any_retained());
             for (pi, est) in class.ests.iter().enumerate() {
@@ -1973,23 +1501,32 @@ mod tests {
         }
     }
 
+    /// A view without a mailbox still takes the indexed path: each call
+    /// rebuilds the partition, with the same classes, estimates and
+    /// counters as an incremental sweep over a mailbox view.
     #[test]
-    fn indexed_path_requires_shard_and_mailbox() {
+    fn indexed_path_without_mailbox_rebuilds_every_call() {
         let s = scenario();
-        let cores = idle_cores(&s);
-        let task = mk_task(&s, 0.0);
-        let mut classes = Vec::new();
-        // No shard index configured.
+        let cores = busy_cores(&s);
+        let task = mk_task(&s, 1.0);
         let dirty = ecds_sim::DirtyCores::default();
-        let view = SystemView::new(s.cluster(), s.table(), &cores, 0.0, 1, 60).with_dirty(&dirty);
-        let off = CandidateEvaluator::default().without_shard_index();
-        assert!(!off.evaluate_indexed_into(&view, &task, &mut classes));
-        assert!(classes.is_empty());
-        // Shard on, but the view has no dirty-core mailbox.
-        let bare = SystemView::new(s.cluster(), s.table(), &cores, 0.0, 1, 60);
-        let on = CandidateEvaluator::default();
-        assert!(!on.evaluate_indexed_into(&bare, &task, &mut classes));
-        assert!(classes.is_empty());
+        let view = SystemView::new(s.cluster(), s.table(), &cores, 1.0, 1, 60).with_dirty(&dirty);
+        let bare = SystemView::new(s.cluster(), s.table(), &cores, 1.0, 1, 60);
+        let (with, without) = (CandidateEvaluator::default(), CandidateEvaluator::default());
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        for _ in 0..2 {
+            with.evaluate_indexed_into(&view, &task, &mut a);
+            without.evaluate_indexed_into(&bare, &task, &mut b);
+            assert_eq!(a.len(), b.len());
+            for (x, y) in a.iter().zip(&b) {
+                assert_eq!(
+                    (x.min_core, x.depth, x.members),
+                    (y.min_core, y.depth, y.members)
+                );
+                assert!(x.ests.iter().zip(&y.ests).all(|(p, q)| p.bit_eq(q)));
+            }
+            assert_counters_eq(&with, &without);
+        }
     }
 
     #[test]
@@ -1999,8 +1536,8 @@ mod tests {
         let view = SystemView::new(s.cluster(), s.table(), &cores, 0.0, 1, 60);
         let task = mk_task(&s, 0.0);
         let ev = CandidateEvaluator::default();
-        let p0 = ev.evaluate(&view, &task, 0, PState::P0);
-        let p4 = ev.evaluate(&view, &task, 0, PState::P4);
+        let p0 = estimate(&ev, &view, &task, 0, PState::P0);
+        let p4 = estimate(&ev, &view, &task, 0, PState::P4);
         assert!(p4.eet > p0.eet);
         assert!(p4.ect > p0.ect);
         assert!(p4.rho <= p0.rho + 1e-9);
@@ -2013,7 +1550,7 @@ mod tests {
         let view = SystemView::new(s.cluster(), s.table(), &cores, 0.0, 1, 60);
         let task = mk_task(&s, 0.0);
         let ev = CandidateEvaluator::default();
-        let est = ev.evaluate(&view, &task, 0, PState::P1);
+        let est = estimate(&ev, &view, &task, 0, PState::P1);
         let node = s.cluster().node(s.cluster().core(0).node);
         let expected = est.eet * node.power.watts(PState::P1) / node.efficiency;
         assert!((est.eec - expected).abs() < 1e-9);
@@ -2026,7 +1563,7 @@ mod tests {
         let view = SystemView::new(s.cluster(), s.table(), &cores, 0.0, 1, 60);
         let task = mk_task(&s, 0.0); // deadline = type avg + t_avg: generous
         let ev = CandidateEvaluator::default();
-        let est = ev.evaluate(&view, &task, 0, PState::P0);
+        let est = estimate(&ev, &view, &task, 0, PState::P0);
         assert!(est.rho > 0.9, "rho {}", est.rho);
     }
 
@@ -2038,7 +1575,7 @@ mod tests {
         let mut task = mk_task(&s, 1000.0);
         task.deadline = 1000.5; // far below any execution time
         let ev = CandidateEvaluator::default();
-        let est = ev.evaluate(&view, &task, 0, PState::P0);
+        let est = estimate(&ev, &view, &task, 0, PState::P0);
         assert_eq!(est.rho, 0.0);
     }
 }

@@ -59,7 +59,7 @@ pub mod scheduler;
 pub mod shard;
 
 pub use candidate::{candidates_bit_eq, EvaluatedCandidate};
-pub use estimate::{pending_completion_pmf, AssignmentEstimate, CandidateEvaluator};
+pub use estimate::{AssignmentEstimate, CandidateEvaluator};
 pub use factory::{build_scheduler, FilterVariant, HeuristicKind};
 pub use fanout::FAN_OUT_MIN_BUSY_CLASSES;
 pub use filters::energy::{EnergyFilter, ZetaMulPolicy};

@@ -94,44 +94,6 @@ impl Scheduler {
         }
     }
 
-    /// Disables the evaluator's queue-prefix pmf cache, recomputing every
-    /// prefix from scratch. The reference configuration the cached default
-    /// is differentially tested against; also useful for benchmarking the
-    /// cache itself.
-    pub fn without_prefix_cache(mut self) -> Self {
-        self.evaluator = CandidateEvaluator::uncached(self.evaluator.policy());
-        self
-    }
-
-    /// Disables the evaluator's fused scratch kernel, routing every
-    /// convolution through the legacy allocating pipeline. The reference
-    /// configuration the fused default is differentially tested against.
-    /// Composes with [`Scheduler::without_prefix_cache`] for the fully
-    /// legacy evaluator.
-    pub fn without_fused_kernel(mut self) -> Self {
-        self.evaluator = self.evaluator.without_fused_kernel();
-        self
-    }
-
-    /// Disables the evaluator's candidate equivalence-class deduplication,
-    /// evaluating every (core, P-state) pair independently. The reference
-    /// configuration the deduplicated default is differentially tested
-    /// against (apply after [`Scheduler::without_prefix_cache`], which
-    /// rebuilds the evaluator).
-    pub fn without_candidate_dedup(mut self) -> Self {
-        self.evaluator = self.evaluator.without_candidate_dedup();
-        self
-    }
-
-    /// Disables the evaluator's persistent shard index: every mapping
-    /// event rebuilds its class partition from scratch and selection runs
-    /// on the materialized candidate stream. The reference configuration
-    /// the shard-indexed default is differentially tested against.
-    pub fn without_shard_index(mut self) -> Self {
-        self.evaluator = self.evaluator.without_shard_index();
-        self
-    }
-
     /// Enables recording of `(task, ρ)` pairs — the robustness value of
     /// every chosen assignment — for the model-validation harness (the
     /// `validate` binary compares these predictions against realized
@@ -181,9 +143,9 @@ impl Mapper for Scheduler {
 
     fn stats(&self) -> MapperStats {
         MapperStats {
-            prefix_cache: self.evaluator.prefix_cache_stats(),
+            prefix_cache: Some(self.evaluator.prefix_cache_stats()),
             fused_kernel_calls: self.evaluator.fused_kernel_calls(),
-            candidate_classes: self.evaluator.dedup_stats(),
+            candidate_classes: Some(self.evaluator.dedup_stats()),
             dedup_skipped_evaluations: self.evaluator.dedup_skipped_evaluations(),
         }
     }
@@ -197,12 +159,9 @@ impl Mapper for Scheduler {
         // can decide from the equivalence-class form, skip materializing
         // the cores × P-states stream. Bit-identical to the full scan —
         // same chosen core, P-state, ledger decrement, and prediction.
-        if self.heuristic.supports_indexed()
-            && self.filters.iter().all(|f| f.supports_indexed())
-            && self
-                .evaluator
-                .evaluate_indexed_into(view, task, &mut self.indexed)
-        {
+        if self.heuristic.supports_indexed() && self.filters.iter().all(|f| f.supports_indexed()) {
+            self.evaluator
+                .evaluate_indexed_into(view, task, &mut self.indexed);
             for filter in &self.filters {
                 filter.retain_indexed(task, view, &ctx, &mut self.indexed);
                 if self.indexed.is_empty() {
@@ -409,6 +368,25 @@ mod tests {
         assert!(sched.predictions().is_empty());
     }
 
+    /// Forwards `choose` but declines the indexed path, so the scheduler
+    /// selects over the materialized cores × P-states stream.
+    struct FullScan(Box<dyn Heuristic>);
+
+    impl Heuristic for FullScan {
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+
+        fn choose(
+            &mut self,
+            task: &Task,
+            view: &SystemView<'_>,
+            candidates: &[EvaluatedCandidate],
+        ) -> Option<usize> {
+            self.0.choose(task, view, candidates)
+        }
+    }
+
     #[test]
     fn shard_indexed_selection_matches_full_scan_end_to_end() {
         use crate::heuristics::ll::LightestLoad;
@@ -434,8 +412,13 @@ mod tests {
                 };
                 let mut indexed =
                     Scheduler::new(mk(), filters(), budget, ReductionPolicy::default());
-                let mut full = Scheduler::new(mk(), filters(), budget, ReductionPolicy::default())
-                    .without_shard_index();
+                assert!(indexed.heuristic.supports_indexed());
+                let mut full = Scheduler::new(
+                    Box::new(FullScan(mk())),
+                    filters(),
+                    budget,
+                    ReductionPolicy::default(),
+                );
                 let a = Simulation::new(&s, &trace).run(&mut indexed);
                 let b = Simulation::new(&s, &trace).run(&mut full);
                 assert_eq!(

@@ -1,8 +1,8 @@
-//! Proof that the fused kernel's steady state is allocation-free: once the
-//! scratch buffers have grown to the workload's high-water mark and the
-//! prefix cache is warm, a full `evaluate_all` sweep performs exactly ONE
-//! heap allocation — the returned candidate vector — no matter how many
-//! (core, P-state) convolutions it runs.
+//! Proof that the evaluator's steady state is allocation-free: once the
+//! scratch buffers have grown to the workload's high-water mark, the prefix
+//! cache is warm and the shard index is built, a full sweep performs no
+//! heap allocation beyond a returned candidate vector, no matter how many
+//! (class, P-state) convolutions it runs.
 //!
 //! The whole file is a single `#[test]` in its own integration binary so no
 //! concurrent test pollutes the global allocation counter.
@@ -15,6 +15,7 @@ use ecds_core::{
     candidates_bit_eq, CandidateEvaluator, ClassCandidate, EvaluatedCandidate,
     FAN_OUT_MIN_BUSY_CLASSES,
 };
+use ecds_pmf::ReductionPolicy;
 use ecds_sim::{CoreState, DirtyCores, ExecutingTask, QueuedTask, Scenario, SystemView};
 use ecds_workload::{Task, TaskId, TaskTypeId, WorkloadConfig};
 
@@ -82,57 +83,38 @@ fn warm_evaluate_all_allocates_only_the_result_vector() {
         deadline: 3000.0,
         quantile: 0.5,
     };
-    let evaluator = CandidateEvaluator::default();
+    // Reference: a fresh evaluator over a view without a mailbox, which
+    // rebuilds its class partition from scratch.
+    let reference = CandidateEvaluator::default().evaluate_all(&view, &task);
 
-    // Warm-up: first call populates the prefix cache, grows every scratch
-    // buffer to this workload's high-water mark, and sizes the dedup class
-    // storage; second call verifies the warm path works before we start
-    // counting.
-    let reference = evaluator.evaluate_all(&view, &task);
-    let warm = evaluator.evaluate_all(&view, &task);
-    assert!(candidates_bit_eq(&reference, &warm));
-
+    // The by-value pmf pipeline allocates on every convolution; the
+    // contrast proves the counter actually observes allocations.
+    let node = scenario.cluster().core(0).node;
+    let a = scenario.table().pmf(TaskTypeId(0), node, PState::P0);
+    let b = scenario.table().pmf(TaskTypeId(1), node, PState::P1);
+    let convolutions = 16;
     let before = allocations();
-    let measured = evaluator.evaluate_all(&view, &task);
-    let during = allocations() - before;
-    assert!(candidates_bit_eq(&measured, &reference));
-    assert_eq!(
-        during, 1,
-        "steady-state evaluate_all must allocate exactly once (the result \
-         vector); every candidate convolution must run in the scratch and \
-         the class partition in its retained storage"
-    );
-
-    // The same sweep through the legacy pipeline — per-core, no fused
-    // kernel — allocates per candidate; the contrast proves the counter
-    // actually observes the kernel.
-    let legacy = CandidateEvaluator::default()
-        .without_fused_kernel()
-        .without_candidate_dedup();
-    let _ = legacy.evaluate_all(&view, &task);
-    let before = allocations();
-    let legacy_measured = legacy.evaluate_all(&view, &task);
-    let legacy_during = allocations() - before;
-    assert!(candidates_bit_eq(&legacy_measured, &reference));
-    let candidates = reference.len() as u64;
+    for _ in 0..convolutions {
+        std::hint::black_box(a.convolve(b, ReductionPolicy::default()));
+    }
+    let by_value = allocations() - before;
     assert!(
-        legacy_during > candidates,
-        "legacy pipeline should allocate at least once per candidate \
-         ({candidates}), counted {legacy_during}"
+        by_value >= convolutions,
+        "by-value convolve should allocate at least once per call \
+         ({convolutions}), counted {by_value}"
     );
 
     // --- Shard-index path: ZERO steady-state allocations. ---
     //
     // With an epoch-bump mailbox on the view, the evaluator maintains its
-    // (node, prefix-identity) shard index incrementally, and a caller-owned
-    // output buffer removes even the one allowed allocation above: a warm
+    // (template, prefix-identity, depth) shard index incrementally, and a
+    // caller-owned output buffer leaves nothing to allocate: a warm
     // `evaluate_all_into` and a warm `evaluate_indexed_into` must both
     // touch the allocator zero times.
     let dirty = DirtyCores::default();
     let sharded_view = SystemView::new(scenario.cluster(), scenario.table(), &cores, 50.0, 1, 60)
         .with_dirty(&dirty);
     let sharded = CandidateEvaluator::default();
-    assert!(sharded.has_shard_index());
 
     let mut out: Vec<EvaluatedCandidate> = Vec::new();
     // Warm-up: first call full-rebuilds the shard and grows every buffer;
@@ -152,12 +134,22 @@ fn warm_evaluate_all_allocates_only_the_result_vector() {
          and estimates land in the reused class storage"
     );
 
+    // The `Vec`-returning form allocates exactly once: the result vector.
+    let before = allocations();
+    let measured = sharded.evaluate_all(&sharded_view, &task);
+    let during = allocations() - before;
+    assert!(candidates_bit_eq(&measured, &reference));
+    assert_eq!(
+        during, 1,
+        "warm evaluate_all must allocate exactly once (the result vector)"
+    );
+
     // The class-level API (what SQ/MECT/LL select from without
     // materializing cores × P-states) is equally allocation-free warm.
     let mut classes: Vec<ClassCandidate> = Vec::new();
-    assert!(sharded.evaluate_indexed_into(&sharded_view, &task, &mut classes));
+    sharded.evaluate_indexed_into(&sharded_view, &task, &mut classes);
     let before = allocations();
-    assert!(sharded.evaluate_indexed_into(&sharded_view, &task, &mut classes));
+    sharded.evaluate_indexed_into(&sharded_view, &task, &mut classes);
     let during = allocations() - before;
     assert_eq!(
         during, 0,
@@ -191,13 +183,12 @@ fn warm_evaluate_all_allocates_only_the_result_vector() {
     let wide_dirty = DirtyCores::default();
     let wide_view = SystemView::new(wide.cluster(), wide.table(), &wide_cores, 50.0, 1, 60)
         .with_dirty(&wide_dirty);
-    let wide_reference = CandidateEvaluator::default()
-        .without_shard_index()
-        .evaluate_all(&wide_view, &task);
+    let wide_bare = SystemView::new(wide.cluster(), wide.table(), &wide_cores, 50.0, 1, 60);
+    let wide_reference = CandidateEvaluator::default().evaluate_all(&wide_bare, &task);
     let fanned = CandidateEvaluator::default();
     for _ in 0..2 {
         fanned.evaluate_all_into(&wide_view, &task, &mut out);
-        assert!(fanned.evaluate_indexed_into(&wide_view, &task, &mut classes));
+        fanned.evaluate_indexed_into(&wide_view, &task, &mut classes);
     }
     let busy = classes.iter().filter(|c| c.depth > 0).count();
     assert!(
@@ -211,7 +202,7 @@ fn warm_evaluate_all_allocates_only_the_result_vector() {
     let before = allocations();
     for _ in 0..16 {
         fanned.evaluate_all_into(&wide_view, &task, &mut out);
-        assert!(fanned.evaluate_indexed_into(&wide_view, &task, &mut classes));
+        fanned.evaluate_indexed_into(&wide_view, &task, &mut classes);
     }
     let during = allocations() - before;
     assert!(candidates_bit_eq(&out, &wide_reference));

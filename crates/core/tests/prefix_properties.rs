@@ -1,12 +1,18 @@
 //! Property tests of the queue-prefix computation and its versioned cache:
 //! truncation semantics, monotonicity in queue depth, epoch bookkeeping,
-//! and cached-vs-uncached bit-identity over arbitrary core states.
+//! and cached-vs-recomputed bit-identity over arbitrary core states. The
+//! prefix semantics are checked on the oracle's by-value builder, which
+//! the production cache is checked against.
+
+#[path = "../../../tests/support/oracle.rs"]
+mod oracle;
 
 use ecds_cluster::PState;
-use ecds_core::{candidates_bit_eq, pending_completion_pmf, CandidateEvaluator};
+use ecds_core::{candidates_bit_eq, CandidateEvaluator};
 use ecds_pmf::ReductionPolicy;
 use ecds_sim::{CoreState, ExecutingTask, QueuedTask, Scenario, SystemView};
 use ecds_workload::{Task, TaskId, TaskTypeId};
+use oracle::prefix_pmf;
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -70,7 +76,7 @@ proptest! {
         cores[0] = busy_core(exec_type, start, &queued);
         let now = start + elapsed;
         let view = SystemView::new(s.cluster(), s.table(), &cores, now, 1, 60);
-        let pmf = pending_completion_pmf(&view, 0, ReductionPolicy::default())
+        let pmf = prefix_pmf(&view, 0, ReductionPolicy::default())
             .expect("core is executing");
         prop_assert!(
             pmf.min_value() >= now - 1e-9,
@@ -93,7 +99,7 @@ proptest! {
             let mut cores = vec![CoreState::new(); s.cluster().total_cores()];
             cores[0] = busy_core(exec_type, 0.0, &queued[..depth]);
             let view = SystemView::new(s.cluster(), s.table(), &cores, now, 1, 60);
-            let pmf = pending_completion_pmf(&view, 0, ReductionPolicy::default())
+            let pmf = prefix_pmf(&view, 0, ReductionPolicy::default())
                 .expect("core is executing");
             expectations.push(pmf.expectation());
         }
@@ -156,8 +162,9 @@ proptest! {
         }
     }
 
-    /// Cached and uncached evaluators agree bit-for-bit on arbitrary core
-    /// states, view times, and repeat/advance patterns.
+    /// The caching evaluator agrees bit-for-bit with the oracle, which
+    /// recomputes every prefix, on arbitrary core states, view times, and
+    /// repeat/advance patterns.
     #[test]
     fn cached_prefix_is_bit_identical_to_recompute(
         exec_type in 0usize..10,
@@ -171,13 +178,12 @@ proptest! {
         cores[0] = busy_core(exec_type, start, &queued);
         let task = probe_task();
         let cached = CandidateEvaluator::default();
-        let uncached = CandidateEvaluator::uncached(ReductionPolicy::default());
         for now in [start + elapsed_a, start + elapsed_a, start + elapsed_a + advance] {
             let view = SystemView::new(s.cluster(), s.table(), &cores, now, 1, 60);
             prop_assert!(
                 candidates_bit_eq(
                     &cached.evaluate_all(&view, &task),
-                    &uncached.evaluate_all(&view, &task)
+                    &oracle::evaluate_all(&view, &task, ReductionPolicy::default())
                 ),
                 "diverged at t={}", now
             );

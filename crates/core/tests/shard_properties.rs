@@ -1,10 +1,15 @@
 //! Property tests of the persistent shard index: over *arbitrary mutation
 //! sequences* (starts, completions, queue pushes/pops, uneven time
 //! advances) driven through an epoch-bump mailbox, the incrementally
-//! maintained index must stay bit-identical to the full-scan reference —
-//! both the materialized candidate stream (`candidates_bit_eq`) and the
-//! index-selected top choice for every indexed heuristic (SQ, MECT, LL)
-//! under every filter variant.
+//! maintained index must stay bit-identical to the oracle's per-core
+//! stream (`candidates_bit_eq`), keep every counter equal to a full
+//! rebuild's, and make every indexed heuristic (SQ, MECT, LL) under every
+//! filter variant select what the full scan selects.
+
+#[path = "../../../tests/support/mutation.rs"]
+mod mutation;
+#[path = "../../../tests/support/oracle.rs"]
+mod oracle;
 
 use ecds_cluster::{PState, NUM_PSTATES};
 use ecds_core::{
@@ -12,92 +17,16 @@ use ecds_core::{
     Filter, FilterCtx, Heuristic, LightestLoad, MinimumExpectedCompletionTime, RobustnessFilter,
     ShortestQueue,
 };
-use ecds_sim::{CoreState, DirtyCores, ExecutingTask, QueuedTask, Scenario, SystemView};
+use ecds_pmf::ReductionPolicy;
+use ecds_sim::{CoreState, DirtyCores, Scenario, SystemView};
 use ecds_workload::{Task, TaskId, TaskTypeId};
+use mutation::{apply_step, arb_step};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
 fn scenario() -> &'static Scenario {
     static S: OnceLock<Scenario> = OnceLock::new();
     S.get_or_init(|| Scenario::small_for_tests(31))
-}
-
-/// One mutation against one core. Ops that do not apply to the core's
-/// current state (completing an idle core, starting a busy one) degrade to
-/// the legal neighbour so every drawn sequence is executable.
-#[derive(Debug, Clone)]
-enum Op {
-    /// Start executing (or enqueue, if already busy).
-    Start { type_id: usize },
-    /// Enqueue behind the executing task.
-    Enqueue { type_id: usize, pstate: usize },
-    /// Complete the executing task, auto-starting the next queued one.
-    Complete,
-}
-
-fn arb_step() -> impl Strategy<Value = (Vec<(usize, Op)>, f64, usize)> {
-    let op =
-        (0usize..3, 0usize..10, 0usize..NUM_PSTATES).prop_map(
-            |(which, type_id, pstate)| match which {
-                0 => Op::Start { type_id },
-                1 => Op::Enqueue { type_id, pstate },
-                _ => Op::Complete,
-            },
-        );
-    (
-        prop::collection::vec((0usize..64, op), 0..6),
-        0.1f64..300.0,
-        // Extra unmutated core to over-mark (always legal).
-        0usize..64,
-    )
-}
-
-fn apply(core: &mut CoreState, op: &Op, id: usize, now: f64) {
-    match op {
-        Op::Start { type_id } => {
-            let exec = ExecutingTask {
-                task: TaskId(id),
-                type_id: TaskTypeId(*type_id),
-                pstate: PState::P1,
-                start: now,
-                deadline: now + 5_000.0,
-            };
-            if core.executing().is_none() {
-                core.start(exec);
-            } else {
-                core.enqueue(QueuedTask {
-                    task: exec.task,
-                    type_id: exec.type_id,
-                    pstate: PState::P2,
-                    deadline: exec.deadline,
-                });
-            }
-        }
-        Op::Enqueue { type_id, pstate } => {
-            if core.executing().is_some() {
-                core.enqueue(QueuedTask {
-                    task: TaskId(id),
-                    type_id: TaskTypeId(*type_id),
-                    pstate: PState::from_index(*pstate),
-                    deadline: now + 6_000.0,
-                });
-            }
-        }
-        Op::Complete => {
-            if core.executing().is_some() {
-                let (_, next) = core.complete();
-                if let Some(q) = next {
-                    core.start(ExecutingTask {
-                        task: q.task,
-                        type_id: q.type_id,
-                        pstate: q.pstate,
-                        start: now,
-                        deadline: q.deadline,
-                    });
-                }
-            }
-        }
-    }
 }
 
 fn probe_task(step: usize, deadline_slack: f64, now: f64) -> Task {
@@ -151,10 +80,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Arbitrary mutation sequences ⇒ at every step the shard-indexed
-    /// evaluator reproduces the full-scan reference bit-for-bit: the
-    /// materialized stream, the exact hit/miss/dedup counters, and the
-    /// top-k selection of every indexed heuristic under every filter
-    /// variant.
+    /// evaluator reproduces the oracle's stream bit-for-bit, a full rebuild
+    /// (an evaluator fed the same cores through a view without a mailbox)
+    /// reports the exact same hit/miss/class counters, and every indexed
+    /// heuristic under every filter variant selects what the full scan
+    /// selects.
     #[test]
     fn indexed_top_k_matches_full_scan_over_arbitrary_mutations(
         steps in prop::collection::vec(arb_step(), 1..8),
@@ -169,45 +99,37 @@ proptest! {
         let mut next_id = 0usize;
 
         let sharded = CandidateEvaluator::default();
-        prop_assert!(sharded.has_shard_index());
-        let full = CandidateEvaluator::default().without_shard_index();
+        let full = CandidateEvaluator::default();
 
         let mut out: Vec<EvaluatedCandidate> = Vec::new();
         let mut classes: Vec<ClassCandidate> = Vec::new();
 
-        for (step, (ops, dt, extra_mark)) in steps.iter().enumerate() {
-            now += dt;
-            for (pick, op) in ops {
-                let core = pick % n;
-                apply(&mut cores[core], op, next_id, now);
-                next_id += 1;
-                dirty.mark(core);
-            }
-            // Over-marking an untouched core must be harmless.
-            dirty.mark(extra_mark % n);
-
+        for (step, ops) in steps.iter().enumerate() {
+            apply_step(&mut cores, &mut dirty, ops, &mut now, &mut next_id);
             let view = SystemView::new(s.cluster(), s.table(), &cores, now, 1, 60)
                 .with_dirty(&dirty);
+            let bare = SystemView::new(s.cluster(), s.table(), &cores, now, 1, 60);
             let task = probe_task(step, deadline_slack, now);
 
-            // Materialized stream: bit-identical, and the per-call dedup
-            // counter deltas arithmetically exact (cumulative totals
-            // differ only because the sharded evaluator answers two
-            // queries per step here — the class/skip arithmetic per
-            // `evaluate_all` must match the reference exactly).
-            let s0 = sharded.dedup_stats().expect("dedup on");
-            let sk0 = sharded.dedup_skipped_evaluations();
+            // Materialized stream: bit-identical to the oracle, and the
+            // per-call counter deltas arithmetically exact against a full
+            // rebuild (cumulative totals differ only because the sharded
+            // evaluator answers two queries per step here).
+            let (s0, sk0) = (sharded.dedup_stats(), sharded.dedup_skipped_evaluations());
+            let c0 = sharded.prefix_cache_stats();
             sharded.evaluate_all_into(&view, &task, &mut out);
-            let s1 = sharded.dedup_stats().expect("dedup on");
-            let f0 = full.dedup_stats().expect("dedup on");
-            let fk0 = full.dedup_skipped_evaluations();
-            let reference = full.evaluate_all(&view, &task);
-            let f1 = full.dedup_stats().expect("dedup on");
+            let (s1, c1) = (sharded.dedup_stats(), sharded.prefix_cache_stats());
+            let (f0, fk0) = (full.dedup_stats(), full.dedup_skipped_evaluations());
+            let d0 = full.prefix_cache_stats();
+            let rebuilt = full.evaluate_all(&bare, &task);
+            let (f1, d1) = (full.dedup_stats(), full.prefix_cache_stats());
+            let reference = oracle::evaluate_all(&view, &task, ReductionPolicy::default());
             prop_assert_eq!(out.len(), n * NUM_PSTATES);
             prop_assert!(
                 candidates_bit_eq(&out, &reference),
-                "stream diverged at step {}", step
+                "stream diverged from the oracle at step {}", step
             );
+            prop_assert!(candidates_bit_eq(&rebuilt, &reference));
             prop_assert_eq!(
                 (s1.0 - s0.0, s1.1 - s0.1),
                 (f1.0 - f0.0, f1.1 - f0.1),
@@ -218,10 +140,15 @@ proptest! {
                 full.dedup_skipped_evaluations() - fk0,
                 "skip counters diverged at step {}", step
             );
+            prop_assert_eq!(
+                c1.0 + c1.1 - c0.0 - c0.1,
+                d1.0 + d1.1 - d0.0 - d0.1,
+                "prefix lookups diverged at step {}", step
+            );
 
             // Indexed top-k: same choice as the full scan for every
             // indexed heuristic × filter variant.
-            prop_assert!(sharded.evaluate_indexed_into(&view, &task, &mut classes));
+            sharded.evaluate_indexed_into(&view, &task, &mut classes);
             let ctx = FilterCtx { remaining_energy, budget: 2_000.0 };
             let en = EnergyFilter::paper();
             let rob = RobustnessFilter::paper();

@@ -223,13 +223,6 @@ impl PmfScratch {
         PmfView::new(out)
     }
 
-    /// Fused convolution returning an owned [`Pmf`] (one allocation for the
-    /// returned impulse vector — the workspace itself allocates nothing in
-    /// steady state).
-    pub fn convolve_reduced_into(&mut self, a: &Pmf, b: &Pmf, policy: ReductionPolicy) -> Pmf {
-        self.convolve_reduced(a, b, policy).to_pmf()
-    }
-
     // --- resident queue-prefix operations -------------------------------
 
     /// Discards the resident prefix (the "idle empty core" state).
@@ -533,7 +526,7 @@ mod tests {
             ReductionPolicy::default_cap(),
         ] {
             let legacy = convolve(&a, &b, policy);
-            let fused = scratch.convolve_reduced_into(&a, &b, policy);
+            let fused = scratch.convolve_reduced(&a, &b, policy).to_pmf();
             assert_eq!(fused, legacy);
         }
     }
@@ -545,7 +538,9 @@ mod tests {
         let b = pmf(&[(3.0, 0.5), (4.0, 0.5)]);
         let mut scratch = PmfScratch::new();
         let legacy = convolve(&a, &b, ReductionPolicy::unlimited());
-        let fused = scratch.convolve_reduced_into(&a, &b, ReductionPolicy::unlimited());
+        let fused = scratch
+            .convolve_reduced(&a, &b, ReductionPolicy::unlimited())
+            .to_pmf();
         assert_eq!(fused, legacy);
         assert_eq!(fused.len(), 3);
     }
@@ -558,7 +553,7 @@ mod tests {
         for cap in [1, 2, 5, 8, 24] {
             let policy = ReductionPolicy::new(cap);
             assert_eq!(
-                scratch.convolve_reduced_into(&a, &b, policy),
+                scratch.convolve_reduced(&a, &b, policy).to_pmf(),
                 convolve(&a, &b, policy),
                 "cap {cap}"
             );
@@ -573,15 +568,15 @@ mod tests {
         let policy = ReductionPolicy::new(8);
         // Big → small → big again: buffers must not carry stale state.
         assert_eq!(
-            scratch.convolve_reduced_into(&big, &big, policy),
+            scratch.convolve_reduced(&big, &big, policy).to_pmf(),
             convolve(&big, &big, policy)
         );
         assert_eq!(
-            scratch.convolve_reduced_into(&small, &small, policy),
+            scratch.convolve_reduced(&small, &small, policy).to_pmf(),
             convolve(&small, &small, policy)
         );
         assert_eq!(
-            scratch.convolve_reduced_into(&big, &small, policy),
+            scratch.convolve_reduced(&big, &small, policy).to_pmf(),
             convolve(&big, &small, policy)
         );
     }

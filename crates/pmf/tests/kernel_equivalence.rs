@@ -36,7 +36,7 @@ proptest! {
     fn fused_equals_legacy_bitwise(a in arb_pmf(), b in arb_pmf(), policy in arb_policy()) {
         let legacy = a.convolve(&b, policy);
         let mut scratch = PmfScratch::new();
-        let fused = scratch.convolve_reduced_into(&a, &b, policy);
+        let fused = scratch.convolve_reduced(&a, &b, policy).to_pmf();
         // Pmf's PartialEq compares every impulse's value and prob with f64
         // equality: bit-identity, not tolerance.
         prop_assert_eq!(fused, legacy);
@@ -90,8 +90,8 @@ proptest! {
         // a fresh legacy computation — stale buffer contents must be
         // invisible.
         let mut scratch = PmfScratch::new();
-        let first = scratch.convolve_reduced_into(&a, &b, p1);
-        let second = scratch.convolve_reduced_into(&c, &d, p2);
+        let first = scratch.convolve_reduced(&a, &b, p1).to_pmf();
+        let second = scratch.convolve_reduced(&c, &d, p2).to_pmf();
         prop_assert_eq!(first, a.convolve(&b, p1));
         prop_assert_eq!(second, c.convolve(&d, p2));
     }

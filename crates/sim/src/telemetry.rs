@@ -30,7 +30,7 @@ pub struct MapperStats {
     pub fused_kernel_calls: u64,
     /// `Some((classes, events))` — total candidate equivalence classes
     /// summed over all mapping events, and the number of mapping events —
-    /// for mappers that deduplicate candidate evaluation (DESIGN.md §11),
+    /// for mappers that deduplicate candidate evaluation (DESIGN.md §13),
     /// or `None` for mappers that evaluate every core independently.
     pub candidate_classes: Option<(u64, u64)>,
     /// `(core, P-state)` evaluations skipped because the core belonged to

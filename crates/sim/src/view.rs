@@ -175,7 +175,8 @@ impl<'a> SystemView<'a> {
 
     /// `true` when the core with flat index `core` is idle with an empty
     /// queue — it has no queue prefix pmf at all, so its candidate
-    /// equivalence class is keyed on the owning node alone (DESIGN.md §11).
+    /// equivalence class is keyed on its node template alone (DESIGN.md
+    /// §13).
     #[inline]
     pub fn core_is_unloaded(&self, core: usize) -> bool {
         let state = &self.cores[core];

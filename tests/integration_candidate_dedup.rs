@@ -1,64 +1,29 @@
-//! Differential proof that candidate equivalence-class deduplication is
-//! invisible: full trials run with the deduplicating scheduler (the
-//! default) must be bit-identical — task outcomes, energy, makespan,
-//! exhaustion, telemetry series — to trials run with a scheduler that
-//! evaluates every (core, P-state) pair independently.
-//!
-//! Only the *semantic* fields are compared; the dedup counters themselves
-//! legitimately differ (that is the whole point of having both modes).
+//! Candidate equivalence-class deduplication is invisible: full trials run
+//! with the production scheduler — one evaluation per class, estimates
+//! replicated to its members — are bit-identical (task outcomes, energy,
+//! makespan, exhaustion, telemetry series, ledger and predictions) to
+//! trials run with the oracle, which evaluates every (core, P-state) pair
+//! on its own. One slice of the production ≡ oracle suite
+//! (`integration_oracle.rs`); the class counters themselves are checked to
+//! be live, and decisions that fan out are checked candidate by candidate.
+
+mod support;
 
 use ecds::core::{ClassCandidate, FAN_OUT_MIN_BUSY_CLASSES};
 use ecds::prelude::*;
+use support::{
+    assert_ledgers_bit_identical, assert_scheduler_matches_oracle, assert_trials_bit_identical,
+    oracle, OracleMapper,
+};
 
-fn run_pair(
-    master: u64,
-    trial: u64,
-    kind: HeuristicKind,
-    variant: FilterVariant,
-) -> (TrialResult, TrialResult) {
-    let scenario = Scenario::small_for_tests(master);
-    let trace = scenario.trace(trial);
-    let mut deduped = build_scheduler(kind, variant, &scenario, trial);
-    let mut per_core =
-        Box::new((*build_scheduler(kind, variant, &scenario, trial)).without_candidate_dedup());
-    let a = Simulation::new(&scenario, &trace).run(deduped.as_mut());
-    let b = Simulation::new(&scenario, &trace).run(per_core.as_mut());
-    (a, b)
-}
-
-fn assert_semantically_identical(a: &TrialResult, b: &TrialResult, label: &str) {
-    assert_eq!(a.outcomes(), b.outcomes(), "{label}: outcomes diverged");
-    assert_eq!(
-        a.total_energy(),
-        b.total_energy(),
-        "{label}: energy diverged"
-    );
-    assert_eq!(
-        a.exhausted_at(),
-        b.exhausted_at(),
-        "{label}: exhaustion diverged"
-    );
-    assert_eq!(a.makespan(), b.makespan(), "{label}: makespan diverged");
-    let (ta, tb) = (a.telemetry(), b.telemetry());
-    assert_eq!(
-        ta.queue_depth, tb.queue_depth,
-        "{label}: queue depth diverged"
-    );
-    assert_eq!(ta.busy_cores, tb.busy_cores, "{label}: busy cores diverged");
-    assert_eq!(ta.power, tb.power, "{label}: power timeline diverged");
-}
-
-/// The acceptance grid: ≥3 seeds × all heuristics, with the paper's best
-/// filter chain — the configuration where replicated estimates drive every
-/// decision through ECT, ρ, and the robustness filter (so any replication
-/// error would change assignments, not just diagnostics).
+/// Seeds × all heuristics, with the paper's best filter chain — the
+/// configuration where replicated estimates drive every decision through
+/// ECT, ρ, and the robustness filter (so any replication error would change
+/// assignments, not just diagnostics).
 #[test]
 fn deduped_equals_per_core_across_seeds_and_heuristics() {
-    for master in [3, 11, 29] {
-        for kind in HeuristicKind::ALL {
-            let (a, b) = run_pair(master, 0, kind, FilterVariant::EnergyAndRobustness);
-            assert_semantically_identical(&a, &b, &format!("seed {master} / {kind}"));
-        }
+    for kind in HeuristicKind::ALL {
+        assert_scheduler_matches_oracle(29, 0, kind, FilterVariant::EnergyAndRobustness);
     }
 }
 
@@ -69,51 +34,41 @@ fn deduped_equals_per_core_across_seeds_and_heuristics() {
 #[test]
 fn deduped_equals_per_core_across_filter_variants() {
     for variant in FilterVariant::ALL {
-        let (a, b) = run_pair(7, 1, HeuristicKind::Mect, variant);
-        assert_semantically_identical(&a, &b, &format!("variant {variant}"));
+        assert_scheduler_matches_oracle(7, 1, HeuristicKind::ShortestQueue, variant);
     }
 }
 
-/// Dedup composes with the cache escape hatch: the uncached deduplicating
-/// evaluator must also be invisible relative to the uncached per-core one.
+/// The oracle also keeps no prefix cache: classes over cached prefixes
+/// against per-core evaluation over recomputed ones.
 #[test]
-fn deduped_equals_per_core_without_prefix_cache() {
-    let scenario = Scenario::small_for_tests(11);
-    let trace = scenario.trace(0);
-    let kind = HeuristicKind::LightestLoad;
-    let variant = FilterVariant::EnergyAndRobustness;
-    let mut deduped =
-        Box::new((*build_scheduler(kind, variant, &scenario, 0)).without_prefix_cache());
-    let mut per_core = Box::new(
-        (*build_scheduler(kind, variant, &scenario, 0))
-            .without_prefix_cache()
-            .without_candidate_dedup(),
+fn deduped_equals_per_core_over_recomputed_prefixes() {
+    assert_scheduler_matches_oracle(
+        11,
+        1,
+        HeuristicKind::LightestLoad,
+        FilterVariant::EnergyAndRobustness,
     );
-    let a = Simulation::new(&scenario, &trace).run(deduped.as_mut());
-    let b = Simulation::new(&scenario, &trace).run(per_core.as_mut());
-    assert_semantically_identical(&a, &b, "uncached pair");
 }
 
 /// Dedup must actually be collapsing work: on the bundled scenario most
 /// arrivals see several interchangeable cores, so classes per event sit
 /// strictly below the core count and skipped evaluations accumulate. The
-/// per-core scheduler reports no dedup stats at all.
+/// per-core oracle reports no dedup stats at all.
 #[test]
 fn deduped_runs_report_classes_and_per_core_report_none() {
-    let scenario = Scenario::small_for_tests(3);
-    let trace = scenario.trace(0);
-    let mut deduped = build_scheduler(
+    let (a, b) = assert_scheduler_matches_oracle(
+        3,
+        3,
         HeuristicKind::Mect,
         FilterVariant::EnergyAndRobustness,
-        &scenario,
-        0,
     );
-    let a = Simulation::new(&scenario, &trace).run(deduped.as_mut());
     let mapper = a.telemetry().mapper;
-    let (classes, events) = mapper.candidate_classes.expect("dedup is on by default");
+    let (classes, events) = mapper
+        .candidate_classes
+        .expect("the scheduler counts classes");
     assert!(events > 0, "every arrival is a mapping event");
     assert!(classes >= events, "at least one class per event");
-    let cores = scenario.cluster().total_cores() as u64;
+    let cores = Scenario::small_for_tests(3).cluster().total_cores() as u64;
     assert!(
         classes < events * cores,
         "some event must collapse at least two cores ({classes} classes \
@@ -123,16 +78,6 @@ fn deduped_runs_report_classes_and_per_core_report_none() {
     assert!(per_event >= 1.0 && per_event < cores as f64);
     assert!(mapper.dedup_skipped_evaluations > 0);
 
-    let mut per_core = Box::new(
-        (*build_scheduler(
-            HeuristicKind::Mect,
-            FilterVariant::EnergyAndRobustness,
-            &scenario,
-            0,
-        ))
-        .without_candidate_dedup(),
-    );
-    let b = Simulation::new(&scenario, &trace).run(per_core.as_mut());
     assert_eq!(b.telemetry().mapper.candidate_classes, None);
     assert_eq!(b.telemetry().mapper.dedup_skipped_evaluations, 0);
     assert_eq!(b.telemetry().mapper.classes_per_event(), None);
@@ -153,16 +98,14 @@ fn fan_out_scenario(master: u64) -> Scenario {
 }
 
 /// Runs the production scheduler (shard index, fan-out) and the serial
-/// `without_shard_index()` reference side by side on every decision, and
-/// checks three bare evaluators against each other on the same views: the
-/// production full-scan path, the production indexed path and the serial
-/// reference.
+/// oracle side by side on every decision, and checks two bare evaluators
+/// against the oracle on the same views: the production full-scan path and
+/// the production indexed path.
 struct FanOutDifferential {
-    production: Box<dyn Mapper>,
-    reference: Box<dyn Mapper>,
+    production: Box<Scheduler>,
+    reference: OracleMapper,
     scan: CandidateEvaluator,
     indexed: CandidateEvaluator,
-    serial: CandidateEvaluator,
     out: Vec<EvaluatedCandidate>,
     classes: Vec<ClassCandidate>,
     /// Decisions with at least `FAN_OUT_MIN_BUSY_CLASSES` busy classes.
@@ -180,23 +123,22 @@ impl Mapper for FanOutDifferential {
     fn on_trial_start(&mut self) {
         self.production.on_trial_start();
         self.reference.on_trial_start();
-        for evaluator in [&self.scan, &self.indexed, &self.serial] {
+        for evaluator in [&self.scan, &self.indexed] {
             evaluator.reset_cache();
         }
     }
 
     fn assign(&mut self, task: &Task, view: &SystemView<'_>) -> Option<Assignment> {
         let label = &self.label;
-        let reference = self.serial.evaluate_all(view, task);
+        let reference = oracle::evaluate_all(view, task, ReductionPolicy::default());
         self.scan.evaluate_all_into(view, task, &mut self.out);
         assert!(
             candidates_bit_eq(&self.out, &reference),
             "{label}: full-scan candidates diverged at task {:?}",
             task.id
         );
-        assert!(self
-            .indexed
-            .evaluate_indexed_into(view, task, &mut self.classes));
+        self.indexed
+            .evaluate_indexed_into(view, task, &mut self.classes);
         let mut members = 0;
         for class in &self.classes {
             members += class.members;
@@ -235,12 +177,13 @@ impl Mapper for FanOutDifferential {
     }
 }
 
-/// Decisions that fan out (shard paths, at least `FAN_OUT_MIN_BUSY_CLASSES`
-/// busy classes, a second core) are bit-identical to the serial reference:
-/// every `EvaluatedCandidate`, every `ClassCandidate`, the chosen
-/// assignment, the trial outcome, and the kernel and prefix-cache counters
-/// — over seeds × {SQ, MECT, LL, Random} × {none, en+rob}. The class and
-/// skip counters match the classes the indexed path actually emitted.
+/// Decisions that fan out (at least `FAN_OUT_MIN_BUSY_CLASSES` busy
+/// classes, a second core) are bit-identical to the serial oracle: every
+/// `EvaluatedCandidate`, every `ClassCandidate`, the chosen assignment, the
+/// trial outcome, ledger and predictions — over seeds × {SQ, MECT, LL,
+/// Random} × {none, en+rob}. The two evaluators' kernel and prefix-cache
+/// counters agree with each other and with the scheduler's, and their class
+/// and skip counters match the classes the indexed path actually emitted.
 #[test]
 fn fanned_out_shard_paths_equal_the_serial_reference() {
     let two_cores = std::thread::available_parallelism().map_or(1, |n| n.get()) >= 2;
@@ -251,13 +194,12 @@ fn fanned_out_shard_paths_equal_the_serial_reference() {
             for variant in [FilterVariant::None, FilterVariant::EnergyAndRobustness] {
                 let label = format!("seed {master} / {kind} / {variant}");
                 let mut diff = FanOutDifferential {
-                    production: build_scheduler(kind, variant, &scenario, 0),
-                    reference: Box::new(
-                        (*build_scheduler(kind, variant, &scenario, 0)).without_shard_index(),
+                    production: Box::new(
+                        (*build_scheduler(kind, variant, &scenario, 0)).with_prediction_recording(),
                     ),
+                    reference: OracleMapper::build(kind, variant, &scenario, 0),
                     scan: CandidateEvaluator::default(),
                     indexed: CandidateEvaluator::default(),
-                    serial: CandidateEvaluator::default().without_shard_index(),
                     out: Vec::new(),
                     classes: Vec::new(),
                     above_floor: 0,
@@ -267,27 +209,18 @@ fn fanned_out_shard_paths_equal_the_serial_reference() {
                     label: label.clone(),
                 };
                 let result = Simulation::new(&scenario, &trace).run(&mut diff);
-                let mut serial =
-                    (*build_scheduler(kind, variant, &scenario, 0)).without_shard_index();
+                let mut serial = OracleMapper::build(kind, variant, &scenario, 0);
                 let reference = Simulation::new(&scenario, &trace).run(&mut serial);
-                assert_semantically_identical(&result, &reference, &label);
-                // The per-event reference keys classes by node, the shard
-                // index by node template and depth, so their class and skip
-                // counters differ by design; every other counter matches.
-                let (prod, serial_stats) = (diff.production.stats(), diff.reference.stats());
-                assert_eq!(
-                    (prod.prefix_cache, prod.fused_kernel_calls),
-                    (serial_stats.prefix_cache, serial_stats.fused_kernel_calls),
-                    "{label}: scheduler counters diverged"
-                );
+                assert_trials_bit_identical(&result, &reference, &label);
+                assert_ledgers_bit_identical(&diff.production, &serial, &label);
+                let prod = diff.production.stats();
                 for (name, evaluator) in [("scan", &diff.scan), ("indexed", &diff.indexed)] {
-                    let serial = &diff.serial;
                     assert_eq!(
                         (
                             evaluator.fused_kernel_calls(),
-                            evaluator.prefix_cache_stats()
+                            Some(evaluator.prefix_cache_stats())
                         ),
-                        (serial.fused_kernel_calls(), serial.prefix_cache_stats()),
+                        (prod.fused_kernel_calls, prod.prefix_cache),
                         "{label}: {name} kernel or prefix-cache counters diverged"
                     );
                     assert_eq!(
@@ -295,13 +228,13 @@ fn fanned_out_shard_paths_equal_the_serial_reference() {
                             evaluator.dedup_stats(),
                             evaluator.dedup_skipped_evaluations()
                         ),
-                        (Some((diff.classes_seen, diff.decisions)), diff.skipped_seen),
+                        ((diff.classes_seen, diff.decisions), diff.skipped_seen),
                         "{label}: {name} class counters diverged from the classes emitted"
                     );
                     assert_eq!(
                         (prod.candidate_classes, prod.dedup_skipped_evaluations),
                         (
-                            evaluator.dedup_stats(),
+                            Some(evaluator.dedup_stats()),
                             evaluator.dedup_skipped_evaluations()
                         ),
                         "{label}: scheduler class counters diverged from {name}"

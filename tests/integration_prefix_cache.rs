@@ -1,61 +1,26 @@
-//! Differential proof that the evaluator's versioned queue-prefix cache is
-//! invisible: full trials run with the caching scheduler must be
-//! bit-identical — task outcomes, energy, makespan, exhaustion, telemetry
-//! series — to trials run with a scheduler that recomputes every prefix.
-//!
-//! Only the *semantic* fields are compared; the cache counters themselves
-//! legitimately differ (that is the whole point of having both modes).
+//! The evaluator's versioned queue-prefix cache is invisible: full trials
+//! run with the production scheduler are bit-identical — task outcomes,
+//! energy, makespan, exhaustion, telemetry series, ledger and predictions —
+//! to trials run with the oracle, which recomputes every prefix on every
+//! decision. One slice of the production ≡ oracle suite
+//! (`integration_oracle.rs`); the cache counters themselves are checked to
+//! be live.
+
+mod support;
 
 use ecds::prelude::*;
+use support::{
+    assert_ledgers_bit_identical, assert_scheduler_matches_oracle, assert_trials_bit_identical,
+    oracle, OracleMapper,
+};
 
-fn run_pair(
-    master: u64,
-    trial: u64,
-    kind: HeuristicKind,
-    variant: FilterVariant,
-) -> (TrialResult, TrialResult) {
-    let scenario = Scenario::small_for_tests(master);
-    let trace = scenario.trace(trial);
-    let mut cached = build_scheduler(kind, variant, &scenario, trial);
-    let mut uncached =
-        Box::new((*build_scheduler(kind, variant, &scenario, trial)).without_prefix_cache());
-    let a = Simulation::new(&scenario, &trace).run(cached.as_mut());
-    let b = Simulation::new(&scenario, &trace).run(uncached.as_mut());
-    (a, b)
-}
-
-fn assert_semantically_identical(a: &TrialResult, b: &TrialResult, label: &str) {
-    assert_eq!(a.outcomes(), b.outcomes(), "{label}: outcomes diverged");
-    assert_eq!(
-        a.total_energy(),
-        b.total_energy(),
-        "{label}: energy diverged"
-    );
-    assert_eq!(
-        a.exhausted_at(),
-        b.exhausted_at(),
-        "{label}: exhaustion diverged"
-    );
-    assert_eq!(a.makespan(), b.makespan(), "{label}: makespan diverged");
-    let (ta, tb) = (a.telemetry(), b.telemetry());
-    assert_eq!(
-        ta.queue_depth, tb.queue_depth,
-        "{label}: queue depth diverged"
-    );
-    assert_eq!(ta.busy_cores, tb.busy_cores, "{label}: busy cores diverged");
-    assert_eq!(ta.power, tb.power, "{label}: power timeline diverged");
-}
-
-/// The acceptance grid: ≥3 seeds × ≥3 heuristics (all four, in fact), with
-/// the paper's best filter chain — the configuration where prefix pmfs
-/// drive every decision through ECT, ρ, and the robustness filter.
+/// Seeds × all four heuristics with the paper's best filter chain — the
+/// configuration where prefix pmfs drive every decision through ECT, ρ,
+/// and the robustness filter.
 #[test]
 fn cached_equals_uncached_across_seeds_and_heuristics() {
-    for master in [3, 11, 29] {
-        for kind in HeuristicKind::ALL {
-            let (a, b) = run_pair(master, 0, kind, FilterVariant::EnergyAndRobustness);
-            assert_semantically_identical(&a, &b, &format!("seed {master} / {kind}"));
-        }
+    for kind in HeuristicKind::ALL {
+        assert_scheduler_matches_oracle(3, 0, kind, FilterVariant::EnergyAndRobustness);
     }
 }
 
@@ -64,8 +29,7 @@ fn cached_equals_uncached_across_seeds_and_heuristics() {
 #[test]
 fn cached_equals_uncached_across_filter_variants() {
     for variant in FilterVariant::ALL {
-        let (a, b) = run_pair(7, 1, HeuristicKind::Mect, variant);
-        assert_semantically_identical(&a, &b, &format!("variant {variant}"));
+        assert_scheduler_matches_oracle(7, 1, HeuristicKind::Mect, variant);
     }
 }
 
@@ -75,44 +39,34 @@ fn cached_equals_uncached_across_filter_variants() {
 #[test]
 fn cache_does_not_leak_across_trials() {
     let scenario = Scenario::small_for_tests(13);
-    let mut cached = build_scheduler(
+    let (kind, variant) = (
         HeuristicKind::LightestLoad,
         FilterVariant::EnergyAndRobustness,
-        &scenario,
-        0,
     );
+    let mut cached = (*build_scheduler(kind, variant, &scenario, 0)).with_prediction_recording();
     for trial in 0..3u64 {
         let trace = scenario.trace(trial);
-        let a = Simulation::new(&scenario, &trace).run(cached.as_mut());
-        let mut fresh = Box::new(
-            (*build_scheduler(
-                HeuristicKind::LightestLoad,
-                FilterVariant::EnergyAndRobustness,
-                &scenario,
-                0,
-            ))
-            .without_prefix_cache(),
-        );
-        let b = Simulation::new(&scenario, &trace).run(fresh.as_mut());
-        assert_semantically_identical(&a, &b, &format!("trial {trial}"));
+        let a = Simulation::new(&scenario, &trace).run(&mut cached);
+        let mut fresh = OracleMapper::build(kind, variant, &scenario, 0);
+        let b = Simulation::new(&scenario, &trace).run(&mut fresh);
+        let label = format!("trial {trial}");
+        assert_trials_bit_identical(&a, &b, &label);
+        assert_ledgers_bit_identical(&cached, &fresh, &label);
     }
 }
 
 /// The cache must actually be doing something: on a bursty trace the
 /// scheduler looks at every core per arrival while most cores' queues
 /// change only between their own events, so a healthy majority of lookups
-/// hit.
+/// hit. The oracle, which caches nothing, reports no cache at all.
 #[test]
 fn cached_runs_report_hits_and_uncached_report_none() {
-    let scenario = Scenario::small_for_tests(3);
-    let trace = scenario.trace(0);
-    let mut cached = build_scheduler(
+    let (a, b) = assert_scheduler_matches_oracle(
+        3,
+        1,
         HeuristicKind::Mect,
         FilterVariant::EnergyAndRobustness,
-        &scenario,
-        0,
     );
-    let a = Simulation::new(&scenario, &trace).run(cached.as_mut());
     let hits = a.telemetry().mapper.prefix_cache_hits();
     let misses = a.telemetry().mapper.prefix_cache_misses();
     assert!(hits > 0, "no cache hits over a whole trial");
@@ -121,25 +75,14 @@ fn cached_runs_report_hits_and_uncached_report_none() {
         a.telemetry().prefix_cache_hit_rate(),
         Some(hits as f64 / (hits + misses) as f64)
     );
-
-    let mut uncached = Box::new(
-        (*build_scheduler(
-            HeuristicKind::Mect,
-            FilterVariant::EnergyAndRobustness,
-            &scenario,
-            0,
-        ))
-        .without_prefix_cache(),
-    );
-    let b = Simulation::new(&scenario, &trace).run(uncached.as_mut());
     assert_eq!(b.telemetry().mapper.prefix_cache_hits(), 0);
     assert_eq!(b.telemetry().mapper.prefix_cache_misses(), 0);
     assert_eq!(b.telemetry().prefix_cache_hit_rate(), None);
 }
 
 /// Direct evaluator-level sweep: every candidate estimate over a busy
-/// mid-trial view must be bit-identical between modes, including after
-/// time advances and after queue mutations.
+/// mid-trial view must be bit-identical to the oracle's, including after
+/// time advances, warm repeats and queue mutations.
 #[test]
 fn evaluator_level_estimates_match_through_mutation_and_time() {
     use ecds::sim::{CoreState, ExecutingTask, QueuedTask};
@@ -167,24 +110,19 @@ fn evaluator_level_estimates_match_through_mutation_and_time() {
         quantile: 0.5,
     };
     let cached = CandidateEvaluator::default();
-    let uncached = CandidateEvaluator::uncached(ReductionPolicy::default());
+    let recomputed =
+        |view: &SystemView<'_>| oracle::evaluate_all(view, &task, ReductionPolicy::default());
 
     for step in 0..4 {
         let now = 10.0 + step as f64 * 15.0;
         let view = SystemView::new(s.cluster(), s.table(), &cores, now, 3, 60);
         assert!(
-            candidates_bit_eq(
-                &cached.evaluate_all(&view, &task),
-                &uncached.evaluate_all(&view, &task)
-            ),
+            candidates_bit_eq(&cached.evaluate_all(&view, &task), &recomputed(&view)),
             "diverged at t={now}"
         );
         // Second call on the same view: all-hit fast path, same answer.
         assert!(
-            candidates_bit_eq(
-                &cached.evaluate_all(&view, &task),
-                &uncached.evaluate_all(&view, &task)
-            ),
+            candidates_bit_eq(&cached.evaluate_all(&view, &task), &recomputed(&view)),
             "warm pass diverged at t={now}"
         );
     }
@@ -199,10 +137,7 @@ fn evaluator_level_estimates_match_through_mutation_and_time() {
     });
     let view = SystemView::new(s.cluster(), s.table(), &cores, 70.0, 4, 60);
     assert!(
-        candidates_bit_eq(
-            &cached.evaluate_all(&view, &task),
-            &uncached.evaluate_all(&view, &task)
-        ),
+        candidates_bit_eq(&cached.evaluate_all(&view, &task), &recomputed(&view)),
         "diverged after mutation"
     );
 }

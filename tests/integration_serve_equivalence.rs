@@ -5,12 +5,15 @@
 //! `Simulation::run_with` — the serving loop keeps exactly one pending
 //! arrival resident, so every event pops in the same order and every f64
 //! operation executes in the same sequence. This suite holds that claim to
-//! `to_bits` identity on the paper-scale 1,000-task workload, across the
-//! evaluator fast-path variants (prefix cache / fused kernel / candidate
-//! dedup on and off), and for the batch discipline.
+//! `to_bits` identity on the paper-scale 1,000-task workload, for the
+//! production scheduler and for the naive oracle mapper (which must also
+//! agree with each other), and for the batch discipline.
+
+mod support;
 
 use ecds::ext::{run_batch, BatchDiscipline, BatchEdf, BatchMaxRho, BatchPolicy};
 use ecds::prelude::*;
+use support::{assert_trials_bit_identical, OracleMapper};
 
 // ---------------------------------------------------------------------------
 // Bit-identity helper (shared shape with tests/integration_checkpoint.rs).
@@ -97,7 +100,7 @@ fn serve_trace(
 }
 
 // ---------------------------------------------------------------------------
-// The tentpole acceptance test: 1,000 tasks, every evaluator variant.
+// The acceptance test: 1,000 tasks, production and oracle.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -106,32 +109,29 @@ fn thousand_task_serve_matches_classic_across_evaluator_variants() {
     let trace = scenario.trace(0);
     assert_eq!(trace.len(), 1000, "paper scenario must be full scale");
 
-    type Tweak = fn(Scheduler) -> Scheduler;
-    let variants: [(&str, Tweak); 4] = [
-        ("all fast paths", |s| s),
-        ("no prefix cache", Scheduler::without_prefix_cache),
-        ("no fused kernel", Scheduler::without_fused_kernel),
-        ("no candidate dedup", Scheduler::without_candidate_dedup),
+    const KIND: HeuristicKind = HeuristicKind::LightestLoad;
+    const VARIANT: FilterVariant = FilterVariant::EnergyAndRobustness;
+    type Build = fn(&Scenario) -> Box<dyn Mapper>;
+    let variants: [(&str, Build); 2] = [
+        ("production", |s| build_scheduler(KIND, VARIANT, s, 0)),
+        ("oracle", |s| {
+            Box::new(OracleMapper::build(KIND, VARIANT, s, 0))
+        }),
     ];
-    let build = |tweak: Tweak| {
-        tweak(*build_scheduler(
-            HeuristicKind::LightestLoad,
-            FilterVariant::EnergyAndRobustness,
-            &scenario,
-            0,
-        ))
-    };
-    for (label, tweak) in variants {
-        let mut classic_scheduler = build(tweak);
-        let mut classic_discipline = ImmediateDiscipline::new(&mut classic_scheduler);
+    let mut classics = Vec::new();
+    for (label, build) in variants {
+        let mut classic_mapper = build(&scenario);
+        let mut classic_discipline = ImmediateDiscipline::new(classic_mapper.as_mut());
         let classic = Simulation::new(&scenario, &trace).run_with(&mut classic_discipline);
 
-        let mut serve_scheduler = build(tweak);
-        let mut serve_discipline = ImmediateDiscipline::new(&mut serve_scheduler);
+        let mut serve_mapper = build(&scenario);
+        let mut serve_discipline = ImmediateDiscipline::new(serve_mapper.as_mut());
         let served = serve_trace(&scenario, &trace, &mut serve_discipline);
 
         assert_bit_identical(&classic, &served, label);
+        classics.push(classic);
     }
+    assert_trials_bit_identical(&classics[0], &classics[1], "production vs oracle");
 }
 
 /// The smaller grid: every heuristic under both engines, with the energy
