@@ -215,7 +215,7 @@ mod kernel_json {
 
     /// Median ns/op over [`SAMPLES`] batches of `iters` calls (one warm-up
     /// batch first). In smoke mode runs `f` once and returns 0.
-    // Bench harness: timing is the point (clippy.toml / ecds-lint R2).
+    // Bench harness: timing is the point (clippy.toml bans the wall clock).
     #[allow(clippy::disallowed_methods)]
     fn measure(mut f: impl FnMut(), iters: u32, bench_mode: bool) -> f64 {
         if !bench_mode {

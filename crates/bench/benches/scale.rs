@@ -68,7 +68,7 @@ struct Arm {
     peak_resident_tasks: usize,
 }
 
-// Bench harness: timing is the point (clippy.toml / ecds-lint R2).
+// Bench harness: timing is the point (clippy.toml bans the wall clock).
 #[allow(clippy::disallowed_methods)]
 fn run_size(size: &Size, bench_mode: bool) -> Arm {
     // Bounded retention forbids an energy budget, so the scaling scenario

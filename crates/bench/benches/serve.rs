@@ -157,7 +157,7 @@ mod serve_json {
         checkpoint_bytes: usize,
     }
 
-    // Bench harness: timing is the point (clippy.toml / ecds-lint R2).
+    // Bench harness: timing is the point (clippy.toml bans the wall clock).
     #[allow(clippy::disallowed_methods)]
     fn run_arm(
         mapper: &'static str,

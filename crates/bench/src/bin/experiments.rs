@@ -82,7 +82,7 @@ fn main() {
         scenario.energy_budget().unwrap_or(f64::INFINITY),
     );
     // Progress reporting on stderr only — never flows into the report
-    // (clippy.toml / ecds-lint R2 ban the wall clock from result paths).
+    // (clippy.toml bans the wall clock from result paths).
     #[allow(clippy::disallowed_methods)]
     let started = std::time::Instant::now();
     let grid = ExperimentGrid::run(config, &scenario);

@@ -160,6 +160,10 @@ fn sample_node<R: Rng + ?Sized>(cfg: &ClusterGenConfig, rng: &mut R) -> NodeSpec
 /// Samples one node's P-state ladder: starting from the deepest state,
 /// performance steps up by `1 + U(perf_step)` per state. Resamples (bounded)
 /// until the deep/base performance ratio meets `min_perf_ratio`.
+#[expect(
+    clippy::panic,
+    reason = "rejection sampling accepts with p≈0.97 per draw; 64 consecutive rejections only happens with a misconfigured min_perf_ratio, which must abort generation"
+)]
 fn sample_ladder<R: Rng + ?Sized>(cfg: &ClusterGenConfig, rng: &mut R) -> PStateLadder {
     const MAX_ATTEMPTS: usize = 64;
     for _ in 0..MAX_ATTEMPTS {

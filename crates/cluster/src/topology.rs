@@ -75,6 +75,10 @@ impl Cluster {
             template_of.len(),
             "template mapping must cover every node"
         );
+        #[expect(
+            clippy::unwrap_used,
+            reason = "with_templates asserts templates is non-empty (one entry per node) just above, so max() over it is always Some"
+        )]
         let num_templates = template_of.iter().copied().max().unwrap() as usize + 1;
         let mut representative = vec![usize::MAX; num_templates];
         for (node, &template) in template_of.iter().enumerate() {

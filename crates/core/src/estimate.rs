@@ -35,8 +35,8 @@ pub struct AssignmentEstimate {
 
 impl AssignmentEstimate {
     /// `true` iff all four quantities match bit-for-bit (`f64::to_bits`) —
-    /// the identity differential suites assert, consistent with lint rule
-    /// R3's stance on float equality.
+    /// the identity differential suites assert, with no float equality
+    /// for `clippy::float_cmp` to flag.
     pub fn bit_eq(&self, other: &Self) -> bool {
         self.eet.to_bits() == other.eet.to_bits()
             && self.ect.to_bits() == other.ect.to_bits()
@@ -167,6 +167,10 @@ struct CachedPrefix {
 
 /// The cache entry of `core`, which the caller has just refreshed via
 /// [`CandidateEvaluator::refresh_entry`].
+#[expect(
+    clippy::unwrap_used,
+    reason = "entry_of is only called after refresh_entry filled the slot (every caller refreshes the core first); Some by construction"
+)]
 fn entry_of(entries: &[Option<CachedPrefix>], core: usize) -> &CachedPrefix {
     entries[core].as_ref().unwrap()
 }
@@ -745,6 +749,10 @@ impl CandidateEvaluator {
                 // Lazy min-member scan, as in `ShardIndex::min_member`
                 // (inlined: the map iteration holds `by_key` borrowed).
                 let rep = loop {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "the inlined lazy min-member scan runs only over live classes reachable from by_key chains, which hold at least one member by ShardIndex::leave's unlink invariant"
+                    )]
                     let &Reverse(top) = class
                         .members
                         .peek()

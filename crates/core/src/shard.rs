@@ -69,7 +69,7 @@ pub(crate) struct ShardClass {
 
 /// Expiry-heap entry: the inclusive end of a cached prefix's
 /// exact-validity window, ordered by `total_cmp` (floats carry no `Ord`;
-/// the total order is explicit rather than `==`-based — lint R3).
+/// the total order is explicit rather than `==`-based — `clippy::float_cmp`).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Expiry {
     /// `valid_until` of the cache entry at push time.
@@ -245,10 +245,18 @@ impl ShardIndex {
         let key = class.key;
         let next = class.next;
         class.members.clear();
+        #[expect(
+            clippy::expect_used,
+            reason = "leave() only reaches the unlink when the class had members, and join() inserts every new class's key into by_key before any member joins"
+        )]
         let head = *self
             .by_key
             .get(&key)
             .expect("a live class's key is indexed");
+        #[expect(
+            clippy::expect_used,
+            reason = "the same key was fetched successfully just above (`head`) and the map is not mutated in between"
+        )]
         if head == id {
             if next == CLASS_NONE {
                 self.by_key.remove(&key);
@@ -278,6 +286,10 @@ impl ShardIndex {
         } = self;
         let class = &mut classes[id as usize];
         loop {
+            #[expect(
+                clippy::expect_used,
+                reason = "min_member is only called on live classes (count > 0); the members heap always holds every live member (stale entries are extra, never missing)"
+            )]
             let &Reverse(top) = class
                 .members
                 .peek()

@@ -128,6 +128,10 @@ impl BatchPolicy for BatchMaxRho {
                     }
                 }
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "loop invariant: the while condition guarantees unassigned and free are both non-empty, so the argmin exists"
+            )]
             let (_, _, u_idx, f_idx, pstate) = best.expect("non-empty sets");
             let task_index = unassigned.swap_remove(u_idx);
             let core = free.swap_remove(f_idx);
@@ -172,6 +176,10 @@ impl BatchPolicy for BatchEdf {
                     }
                 }
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "loop invariant: the loop breaks when free is empty, so the argmin over free exists"
+            )]
             let (_, f_idx, pstate) = best.expect("free non-empty");
             let core = free.swap_remove(f_idx);
             out.push(Dispatch {

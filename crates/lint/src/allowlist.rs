@@ -255,17 +255,17 @@ mod tests {
         let toml = r#"
 # audited sites
 [[allow]]
-rule = "R4-panic"
-file = "crates/sim/src/event.rs"
-pattern = 'expect("event times are finite")'
-reason = "event times come from finite pmf support"
+rule = "R6-allocfree"
+file = "crates/pmf/src/scratch.rs"
+pattern = 'out.reserve(n)'
+reason = "amortized: the buffer retains its capacity across calls"
 "#;
         let list = Allowlist::parse(toml).unwrap();
         assert_eq!(list.entries.len(), 1);
         let mut ds = vec![diag(
-            RuleId::PanicDiscipline,
-            "crates/sim/src/event.rs",
-            r#".partial_cmp(&self.time).expect("event times are finite")"#,
+            RuleId::AllocFree,
+            "crates/pmf/src/scratch.rs",
+            "out.reserve(n);",
         )];
         let outcome = list.apply(&mut ds);
         assert!(outcome.stale.is_empty());
@@ -275,7 +275,7 @@ reason = "event times come from finite pmf support"
 
     #[test]
     fn unmatched_entries_are_reported_stale() {
-        let toml = "[[allow]]\nrule = \"R4-panic\"\nfile = \"crates/x.rs\"\n\
+        let toml = "[[allow]]\nrule = \"R6-allocfree\"\nfile = \"crates/x.rs\"\n\
                     pattern = \"gone()\"\nreason = \"was audited\"\n";
         let list = Allowlist::parse(toml).unwrap();
         let mut ds: Vec<Diagnostic> = Vec::new();
@@ -286,12 +286,12 @@ reason = "event times come from finite pmf support"
 
     #[test]
     fn wrong_rule_or_file_does_not_match() {
-        let toml = "[[allow]]\nrule = \"R3-float\"\nfile = \"crates/a.rs\"\n\
-                    pattern = \"x == 0.0\"\nreason = \"sentinel\"\n";
+        let toml = "[[allow]]\nrule = \"R5-taint\"\nfile = \"crates/a.rs\"\n\
+                    pattern = \"Instant::now()\"\nreason = \"reporting only\"\n";
         let list = Allowlist::parse(toml).unwrap();
         let mut ds = vec![
-            diag(RuleId::PanicDiscipline, "crates/a.rs", "x == 0.0"),
-            diag(RuleId::FloatDiscipline, "crates/b.rs", "x == 0.0"),
+            diag(RuleId::AllocFree, "crates/a.rs", "Instant::now()"),
+            diag(RuleId::TaintDiscipline, "crates/b.rs", "Instant::now()"),
         ];
         let outcome = list.apply(&mut ds);
         assert_eq!(outcome.stale.len(), 1);
@@ -300,12 +300,12 @@ reason = "event times come from finite pmf support"
 
     #[test]
     fn an_entry_matching_two_diagnostics_is_ambiguous_and_excuses_neither() {
-        let toml = "[[allow]]\nrule = \"R4-panic\"\nfile = \"crates/a.rs\"\n\
-                    pattern = \"unwrap()\"\nreason = \"audited once\"\n";
+        let toml = "[[allow]]\nrule = \"R6-allocfree\"\nfile = \"crates/a.rs\"\n\
+                    pattern = \".push(\"\nreason = \"audited once\"\n";
         let list = Allowlist::parse(toml).unwrap();
         let mut ds = vec![
-            diag(RuleId::PanicDiscipline, "crates/a.rs", "x.unwrap()"),
-            diag(RuleId::PanicDiscipline, "crates/a.rs", "y.unwrap()"),
+            diag(RuleId::AllocFree, "crates/a.rs", "x.push(1)"),
+            diag(RuleId::AllocFree, "crates/a.rs", "y.push(2)"),
         ];
         let outcome = list.apply(&mut ds);
         assert_eq!(outcome.ambiguous.len(), 1);
@@ -316,13 +316,13 @@ reason = "event times come from finite pmf support"
 
     #[test]
     fn a_line_pin_disambiguates_a_shared_pattern() {
-        let toml = "[[allow]]\nrule = \"R4-panic\"\nfile = \"crates/a.rs\"\n\
-                    pattern = \"unwrap()\"\nline = 9\nreason = \"the line-9 site is audited\"\n";
+        let toml = "[[allow]]\nrule = \"R6-allocfree\"\nfile = \"crates/a.rs\"\n\
+                    pattern = \".push(\"\nline = 9\nreason = \"the line-9 site is audited\"\n";
         let list = Allowlist::parse(toml).unwrap();
         assert_eq!(list.entries[0].line, Some(9));
         let mut ds = vec![
-            diag(RuleId::PanicDiscipline, "crates/a.rs", "x.unwrap()"),
-            diag(RuleId::PanicDiscipline, "crates/a.rs", "y.unwrap()"),
+            diag(RuleId::AllocFree, "crates/a.rs", "x.push(1)"),
+            diag(RuleId::AllocFree, "crates/a.rs", "y.push(2)"),
         ];
         ds[0].line = 4;
         ds[1].line = 9;
@@ -335,26 +335,31 @@ reason = "event times come from finite pmf support"
 
     #[test]
     fn non_integer_line_values_are_rejected() {
-        let toml = "[[allow]]\nrule = \"R4-panic\"\nfile = \"f\"\npattern = \"p\"\n\
+        let toml = "[[allow]]\nrule = \"R6-allocfree\"\nfile = \"f\"\npattern = \"p\"\n\
                     line = \"9\"\nreason = \"r\"\n";
         assert!(Allowlist::parse(toml).unwrap_err().contains("bare integer"));
     }
 
     #[test]
     fn missing_or_empty_reason_is_rejected() {
-        let no_reason = "[[allow]]\nrule = \"R4-panic\"\nfile = \"f\"\npattern = \"p\"\n";
+        let no_reason = "[[allow]]\nrule = \"R6-allocfree\"\nfile = \"f\"\npattern = \"p\"\n";
         assert!(Allowlist::parse(no_reason).unwrap_err().contains("reason"));
         let empty =
-            "[[allow]]\nrule = \"R4-panic\"\nfile = \"f\"\npattern = \"p\"\nreason = \"  \"\n";
+            "[[allow]]\nrule = \"R6-allocfree\"\nfile = \"f\"\npattern = \"p\"\nreason = \"  \"\n";
         assert!(Allowlist::parse(empty).unwrap_err().contains("empty"));
     }
 
     #[test]
     fn unknown_rules_keys_and_tables_are_rejected() {
         assert!(Allowlist::parse("[[allow]]\nrule = \"R9-x\"\n").is_err());
-        assert!(Allowlist::parse("[[allow]]\nrle = \"R4-panic\"\n").is_err());
+        assert!(Allowlist::parse("[[allow]]\nrle = \"R6-allocfree\"\n").is_err());
         assert!(Allowlist::parse("[settings]\n").is_err());
-        assert!(Allowlist::parse("rule = \"R4-panic\"\n").is_err());
+        assert!(Allowlist::parse("rule = \"R6-allocfree\"\n").is_err());
+        // Rules that moved to clippy are retired ids, not silent no-ops.
+        assert!(Allowlist::parse(
+            "[[allow]]\nrule = \"R4-panic\"\nfile = \"f\"\npattern = \"p\"\nreason = \"r\"\n"
+        )
+        .is_err());
     }
 
     #[test]

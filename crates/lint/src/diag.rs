@@ -3,24 +3,17 @@
 
 use std::fmt;
 
-/// The six enforced invariants (DESIGN.md §9, §14).
+/// The invariants ecds-lint enforces (DESIGN.md §9, §14); R2–R4 moved to
+/// clippy, so the rule ids keep their historical numbers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RuleId {
     /// R1: every public `&mut self` method on an epoch-guarded type must
     /// bump `self.epoch` on every exit path (flow-sensitive since v2).
     EpochDiscipline,
-    /// R2: no nondeterministic collections, wall-clock reads, or OS
-    /// entropy in result-affecting crates.
-    Determinism,
-    /// R3: no raw float equality or `partial_cmp(..).unwrap()` — use
-    /// `total_cmp` and explicit tolerances.
-    FloatDiscipline,
-    /// R4: no `unwrap`/`expect`/`panic!` in non-test library code unless
-    /// audited and allowlisted.
-    PanicDiscipline,
-    /// R5: no function in a result-affecting crate may *transitively*
-    /// reach an R2-banned construct through the call graph (the
-    /// "banned call laundered through a helper crate" hole in R2).
+    /// R5: no function in a result-affecting crate (or the checkpoint
+    /// codec) may reach a nondeterminism source — directly or through
+    /// the call graph, including sources laundered through a helper
+    /// crate.
     TaintDiscipline,
     /// R6: functions annotated `// lint: alloc-free` must not
     /// transitively reach allocating constructs outside audited sites.
@@ -33,9 +26,6 @@ impl RuleId {
     pub fn as_str(&self) -> &'static str {
         match self {
             RuleId::EpochDiscipline => "R1-epoch",
-            RuleId::Determinism => "R2-determinism",
-            RuleId::FloatDiscipline => "R3-float",
-            RuleId::PanicDiscipline => "R4-panic",
             RuleId::TaintDiscipline => "R5-taint",
             RuleId::AllocFree => "R6-allocfree",
         }
@@ -45,9 +35,6 @@ impl RuleId {
     pub fn parse(s: &str) -> Option<Self> {
         match s {
             "R1-epoch" => Some(RuleId::EpochDiscipline),
-            "R2-determinism" => Some(RuleId::Determinism),
-            "R3-float" => Some(RuleId::FloatDiscipline),
-            "R4-panic" => Some(RuleId::PanicDiscipline),
             "R5-taint" => Some(RuleId::TaintDiscipline),
             "R6-allocfree" => Some(RuleId::AllocFree),
             _ => None,
@@ -55,12 +42,9 @@ impl RuleId {
     }
 
     /// All rules, in report order.
-    pub fn all() -> [RuleId; 6] {
+    pub fn all() -> [RuleId; 3] {
         [
             RuleId::EpochDiscipline,
-            RuleId::Determinism,
-            RuleId::FloatDiscipline,
-            RuleId::PanicDiscipline,
             RuleId::TaintDiscipline,
             RuleId::AllocFree,
         ]

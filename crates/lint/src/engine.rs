@@ -105,7 +105,7 @@ pub fn run_workspace(root: &Path) -> io::Result<RunResult> {
 
 /// The lint's own wall time is reporting-only: `elapsed_ms` is excluded
 /// from the report's byte-stability contract (CI masks it when diffing),
-/// so the R2 clock ban does not apply to this one read.
+/// so the clock ban in `clippy.toml` does not apply to this one read.
 #[allow(clippy::disallowed_methods)]
 fn start_clock() -> Instant {
     Instant::now()

@@ -1,35 +1,33 @@
-//! `ecds-lint` — the workspace static-analysis pass that mechanically
-//! enforces the determinism, epoch, and float invariants the results
-//! depend on (DESIGN.md §9).
+//! `ecds-lint` — the workspace static-analysis pass for the invariants
+//! the results depend on that clippy cannot express: control-flow and
+//! call-graph properties (DESIGN.md §9, §14).
 //!
-//! Every correctness argument this reproduction ships rests on invariants
-//! that used to live only in doc comments: the PR-1 prefix cache is sound
-//! only if every [`CoreState`] mutator bumps the epoch; `results/` is
-//! byte-stable only if no nondeterministic iteration order, wall clock, or
-//! OS entropy reaches a result-affecting crate; comparison-driven branches
-//! replay identically only if float ordering goes through `total_cmp`
-//! rather than NaN-panicking `partial_cmp(..).unwrap()` chains. This crate
-//! checks those properties on every CI run:
+//! The prefix cache is sound only if every [`CoreState`] mutator bumps
+//! the epoch on every exit path; `results/` is byte-stable only if no
+//! nondeterministic iteration order, wall clock, or OS entropy reaches a
+//! result-affecting crate, however many calls away; the hot kernels keep
+//! their cost model only if nothing in their call closure allocates.
+//! This crate checks those properties on every CI run:
 //!
 //! - **R1 epoch-discipline** ([`rules`]): public `&mut self` methods on
 //!   epoch-guarded types must bump `self.epoch` — since v2, on *every*
 //!   exit path, proven by a per-function control-flow graph ([`mod@cfg`])
 //!   over statement-parsed bodies.
-//! - **R2 determinism**: `HashMap`/`HashSet`, `SystemTime`/`Instant`,
-//!   `thread_rng`/`from_entropy`/`OsRng` are banned in result-affecting
-//!   crates outside `#[cfg(test)]`.
-//! - **R3 float-discipline**: `.partial_cmp(..).unwrap()` and float
-//!   equality literals are flagged; `total_cmp` is the approved order.
-//! - **R4 panic-discipline**: `unwrap`/`expect`/`panic!` in non-test
-//!   library code must be audited and allowlisted with a rationale.
 //! - **R5 determinism-taint**: a result-affecting function may not reach
-//!   an R2-banned construct *transitively* through the workspace call
-//!   graph ([`model`]) — laundering `thread_rng` through a helper crate
-//!   is flagged with the full call chain.
+//!   a banned nondeterminism source (`HashMap`, `Instant`, `thread_rng`,
+//!   ...) directly or *transitively* through the workspace call graph
+//!   ([`model`]) — laundering `thread_rng` through a helper crate is
+//!   flagged with the full call chain.
 //! - **R6 alloc-free**: functions annotated `// lint: alloc-free` must
 //!   not reach allocating constructs (directly or via callees) outside
 //!   audited sites — the hot-kernel allocation-freedom promise as a
 //!   static certificate.
+//!
+//! The per-call-site rules R2 (determinism bans), R3 (float comparison)
+//! and R4 (panic audits) are clippy's: `clippy.toml`,
+//! `crates/persist/clippy.toml` and the crate-root `deny` attributes of
+//! the library crates, with audit reasons in `#[expect(.., reason)]`
+//! next to each site.
 //!
 //! Violations can be excused in `lint.toml` (see [`allowlist`]); an entry
 //! that stops matching code is itself an error, and an entry matching

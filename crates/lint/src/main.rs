@@ -17,7 +17,7 @@ struct Args {
 }
 
 const USAGE: &str = "\
-ecds-lint: enforce the workspace determinism/epoch/float/alloc invariants (DESIGN.md §9, §14)
+ecds-lint: enforce the workspace epoch/taint/alloc-free invariants (DESIGN.md §9, §14)
 
 USAGE: cargo run -p ecds-lint [-- OPTIONS]
 

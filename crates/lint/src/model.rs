@@ -156,7 +156,7 @@ pub struct FnModel {
     pub skip_reason: Option<String>,
     /// Outgoing syntactic call sites.
     pub calls: Vec<CallSite>,
-    /// Direct determinism-taint sources (R2's banned identifiers).
+    /// Direct determinism-taint sources (R5's banned identifiers).
     pub taint_sites: Vec<SiteHit>,
     /// Direct allocating constructs.
     pub alloc_sites: Vec<SiteHit>,
@@ -469,7 +469,7 @@ fn extract_sites(
             let name = ident.as_str();
             let start = t.span().start();
 
-            if crate::rules::determinism::banned_source(name).is_some() {
+            if crate::rules::taint::is_banned(name) {
                 taint.push(SiteHit {
                     what: name.to_string(),
                     line: start.line,

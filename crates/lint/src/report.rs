@@ -2,12 +2,11 @@
 //! artifact (`results/LINT.json`) that tracks rule/violation counts and
 //! analysis coverage across PRs.
 //!
-//! JSON schema 2 (this PR) adds the flow-sensitive engine's
-//! accountability fields: per-rule counts for all six rules, the body
-//! coverage ratio (functions whose bodies the statement parser shaped
-//! vs. skipped, itemized), ambiguous allowlist entries, and the run's
-//! wall time. Everything except `elapsed_ms` is byte-stable; CI diffs
-//! the committed artifact with `-I '"elapsed_ms"'`.
+//! JSON schema 3 carries per-rule counts for R1-epoch, R5-taint and
+//! R6-allocfree, the body coverage ratio (functions whose bodies the
+//! statement parser shaped vs. skipped, itemized), ambiguous allowlist
+//! entries, and the run's wall time. Everything except `elapsed_ms` is
+//! byte-stable; CI diffs the committed artifact with `-I '"elapsed_ms"'`.
 
 use std::fmt::Write as _;
 
@@ -15,7 +14,7 @@ use crate::diag::RuleId;
 use crate::engine::RunResult;
 
 /// The `results/LINT.json` schema version this reporter emits.
-pub const JSON_SCHEMA: u32 = 2;
+pub const JSON_SCHEMA: u32 = 3;
 
 /// Body coverage as a `"99.8"`-style string (one decimal, truncated),
 /// shared by both reporters so they cannot disagree.
@@ -102,7 +101,7 @@ pub fn human(result: &RunResult, verbose: bool) -> String {
     out
 }
 
-/// Renders `results/LINT.json` (schema 2): per-rule counts, the full
+/// Renders `results/LINT.json` (schema 3): per-rule counts, the full
 /// diagnostic lists, allowlist health, and analysis coverage,
 /// deterministically ordered.
 pub fn json(result: &RunResult) -> String {
@@ -244,12 +243,12 @@ mod tests {
         RunResult {
             files_scanned: 3,
             diagnostics: vec![Diagnostic {
-                rule: RuleId::Determinism,
+                rule: RuleId::TaintDiscipline,
                 file: "crates/core/src/x.rs".to_string(),
                 line: 7,
                 column: 4,
                 snippet: "let m = HashMap::new();".to_string(),
-                message: "`HashMap`: nondeterministic".to_string(),
+                message: "`f` uses `HashMap`: nondeterministic".to_string(),
                 suggestion: "use BTreeMap".to_string(),
                 allowed: None,
             }],
@@ -269,7 +268,7 @@ mod tests {
     fn human_report_lists_violation_and_summary() {
         let text = human(&result_with_one_violation(), false);
         assert!(text.contains("crates/core/src/x.rs:7:4"));
-        assert!(text.contains("R2-determinism"));
+        assert!(text.contains("R5-taint"));
         assert!(text.contains("1 violation,"));
         assert!(text.contains("body coverage 97.5%"), "{text}");
     }
@@ -277,8 +276,8 @@ mod tests {
     #[test]
     fn json_report_has_counts_coverage_and_escapes() {
         let text = json(&result_with_one_violation());
-        assert!(text.contains("\"schema\": 2"));
-        assert!(text.contains("\"R2-determinism\": { \"violations\": 1, \"allowed\": 0 }"));
+        assert!(text.contains("\"schema\": 3"));
+        assert!(text.contains("\"R5-taint\": { \"violations\": 1, \"allowed\": 0 }"));
         assert!(text.contains("\"R6-allocfree\": { \"violations\": 0, \"allowed\": 0 }"));
         assert!(text.contains("\"bodies_parsed\": 39"));
         assert!(text.contains("\"percent\": 97.5"));
@@ -293,9 +292,9 @@ mod tests {
         r.diagnostics.clear();
         r.ambiguous_entries.push((
             crate::allowlist::AllowEntry {
-                rule: RuleId::PanicDiscipline,
+                rule: RuleId::AllocFree,
                 file: "crates/a.rs".to_string(),
-                pattern: "unwrap()".to_string(),
+                pattern: ".push(".to_string(),
                 line: None,
                 reason: "audited".to_string(),
                 defined_at: 12,
@@ -308,7 +307,7 @@ mod tests {
         assert!(text.contains("matches 2 diagnostics"), "{text}");
         let js = json(&r);
         assert!(
-            js.contains("\"ambiguous_allowlist\": [{ \"rule\": \"R4-panic\""),
+            js.contains("\"ambiguous_allowlist\": [{ \"rule\": \"R6-allocfree\""),
             "{js}"
         );
     }

@@ -1,15 +1,14 @@
-//! The rule implementations. The per-file rules (R2/R3/R4) map a parsed
-//! [`crate::source::SourceFile`] to zero or more [`Diagnostic`]s; the
-//! flow-sensitive and interprocedural rules (R1v2/R5/R6) run over the
-//! whole-workspace [`Workspace`] model. Scoping (which crates, which
-//! roles, test vs. non-test regions) lives inside each rule so the engine
-//! can run all rules over everything unconditionally.
+//! The rule implementations. Each rule runs over the whole-workspace
+//! [`Workspace`] model (functions, parsed bodies, resolved call graph).
+//! Scoping (which crates, which roles, test vs. non-test regions) lives
+//! inside each rule so the engine can run all rules over everything
+//! unconditionally. Per-file invariants that clippy can express
+//! (determinism bans, float comparison, panic audits) live in
+//! `clippy.toml` and the crate-root `deny` attributes instead (DESIGN.md
+//! §9).
 
 pub mod allocfree;
-pub mod determinism;
 pub mod epoch;
-pub mod float;
-pub mod panic;
 pub mod taint;
 
 use crate::diag::Diagnostic;
@@ -23,22 +22,8 @@ pub const RESULT_AFFECTING_CRATES: &[&str] = &[
     "pmf", "cluster", "workload", "core", "sim", "ext", "stats", "ecds",
 ];
 
-/// Library crates subject to the panic-discipline rule. The `bench`
-/// driver binaries and the linter itself are tools, not library surface.
-pub const PANIC_SCOPE_CRATES: &[&str] = &[
-    "pmf", "cluster", "workload", "core", "sim", "ext", "stats", "ecds",
-];
-
-/// Runs every rule over the workspace model, appending diagnostics: the
-/// per-file rules (R2/R3/R4) over each parsed file, then the
-/// flow-sensitive and interprocedural rules (R1v2/R5/R6) over the
-/// function and call-graph model.
+/// Runs every rule over the workspace model, appending diagnostics.
 pub fn check_workspace(ws: &Workspace, out: &mut Vec<Diagnostic>) {
-    for file in &ws.files {
-        determinism::check(file, out);
-        float::check(file, out);
-        panic::check(file, out);
-    }
     epoch::check(ws, out);
     taint::check(ws, out);
     allocfree::check(ws, out);

@@ -1,21 +1,23 @@
-//! R5 determinism-taint: no function in a result-affecting crate may
-//! *transitively* reach an R2-banned construct through the call graph.
+//! R5 determinism-taint: no function in a result-affecting crate, or in
+//! the checkpoint codec, may reach a nondeterminism source — directly or
+//! through the workspace call graph.
 //!
-//! R2 flags direct uses of nondeterministic constructs (`HashMap`
-//! iteration, wall-clock reads, entropy-seeded RNGs) inside
-//! result-affecting crates, but it cannot see a banned call *laundered
-//! through a helper crate*: a `crates/bench`-style utility that calls
-//! `thread_rng()` is outside R2's scope, yet a simulation function that
-//! calls the utility inherits the nondeterminism all the same. R5 closes
-//! that hole: every function containing a banned identifier is a taint
-//! source, taint propagates backward over the resolved call graph, and
-//! any result-affecting function that reaches a source *outside* R2's
-//! own scope is flagged with a representative call chain.
+//! `results/` is asserted byte-identical across reruns, machines, and
+//! thread counts. `HashMap`/`HashSet` iteration order and `RandomState`
+//! are seeded per process; wall-clock reads and entropy-seeded RNGs are
+//! nondeterministic by construction. Clippy bans the std names
+//! workspace-wide (`clippy.toml`), but it judges one call site at a time:
+//! it cannot see a simulation function that calls a helper crate whose
+//! innards read the clock under a scoped `#[allow]`, and the entropy RNG
+//! names do not exist in the vendored `rand`, so clippy cannot resolve
+//! them at all. R5 treats every function whose body names a `BANNED`
+//! identifier as a taint source, propagates taint backward over the
+//! resolved call graph, and flags every function in a flagged crate that
+//! reaches a source: a direct use at the banned identifier, a laundered
+//! one at the signature with a representative call chain.
 //!
-//! Functions whose direct uses R2 already reports are not re-flagged
-//! (one diagnostic per root cause), and sources inside R2-scoped crates
-//! are likewise left to R2 — R5 only reports laundering that no
-//! per-file rule can see.
+//! `#[cfg(test)]` regions and `tests/`/`benches/` files are outside the
+//! graph: test-only iteration cannot reach `results/`.
 
 use std::collections::VecDeque;
 
@@ -23,9 +25,60 @@ use crate::diag::{Diagnostic, RuleId};
 use crate::model::Workspace;
 use crate::rules::RESULT_AFFECTING_CRATES;
 
-/// Whether R2 itself scans `crate_name` (result-affecting ∪ persist);
-/// taint sources inside these crates are R2's findings, not R5's.
-fn r2_scoped(crate_name: &str) -> bool {
+/// Banned identifier → (what is wrong, what to use instead).
+const BANNED: &[(&str, &str, &str)] = &[
+    (
+        "HashMap",
+        "nondeterministic iteration order",
+        "use BTreeMap (deterministic key order) or a Vec keyed by dense indices",
+    ),
+    (
+        "HashSet",
+        "nondeterministic iteration order",
+        "use BTreeSet (deterministic order) or a sorted Vec",
+    ),
+    (
+        "RandomState",
+        "per-process random hasher state",
+        "use BTree collections or a fixed, documented hasher",
+    ),
+    (
+        "SystemTime",
+        "wall-clock read",
+        "thread simulated Time through the call instead of reading the OS clock",
+    ),
+    (
+        "Instant",
+        "wall-clock read",
+        "move timing to crates/bench; simulation code must be replayable",
+    ),
+    (
+        "thread_rng",
+        "OS-entropy RNG",
+        "use the vendored StdRng::seed_from_u64 with an explicit trial seed",
+    ),
+    (
+        "from_entropy",
+        "OS-entropy RNG seeding",
+        "use the vendored StdRng::seed_from_u64 with an explicit trial seed",
+    ),
+    (
+        "OsRng",
+        "OS-entropy RNG",
+        "use the vendored StdRng::seed_from_u64 with an explicit trial seed",
+    ),
+];
+
+/// Whether `name` is a banned identifier; a function whose body names one
+/// is a taint source, wherever it lives.
+pub fn is_banned(name: &str) -> bool {
+    BANNED.iter().any(|(n, _, _)| *n == name)
+}
+
+/// Whether R5 flags functions in `crate_name`: every crate that shapes
+/// `results/` bytes, plus the checkpoint codec, whose bytes must restore
+/// identically on any machine.
+fn flagged(crate_name: &str) -> bool {
     crate_name == "persist" || RESULT_AFFECTING_CRATES.contains(&crate_name)
 }
 
@@ -53,16 +106,14 @@ pub fn check(ws: &Workspace, out: &mut Vec<Diagnostic>) {
         }
     }
 
-    // Multi-source backward BFS from out-of-scope taint sources.
-    // `next_hop[i]` points one step along a shortest path toward a
-    // source, giving each flagged function a deterministic chain.
+    // Multi-source backward BFS from every taint source. `next_hop[i]`
+    // points one step along a shortest path toward a source (a source
+    // points at itself), giving each flagged function a deterministic
+    // chain.
     let mut next_hop: Vec<Option<usize>> = vec![None; n];
     let mut queue = VecDeque::new();
     for i in 0..n {
-        if member[i]
-            && !ws.fns[i].taint_sites.is_empty()
-            && !r2_scoped(&ws.files[ws.fns[i].file].crate_name)
-        {
+        if member[i] && !ws.fns[i].taint_sites.is_empty() {
             next_hop[i] = Some(i);
             queue.push_back(i);
         }
@@ -79,15 +130,28 @@ pub fn check(ws: &Workspace, out: &mut Vec<Diagnostic>) {
     for i in 0..n {
         let f = &ws.fns[i];
         let file = &ws.files[f.file];
-        if !member[i] || !RESULT_AFFECTING_CRATES.contains(&file.crate_name.as_str()) {
+        if !member[i] || !flagged(&file.crate_name) {
             continue;
         }
-        // Direct uses are R2's diagnostics; re-flagging them here would
-        // double-report one root cause.
-        if !f.taint_sites.is_empty() {
-            continue;
-        }
-        if next_hop[i].is_none() {
+        let Some(hop) = next_hop[i] else { continue };
+
+        if hop == i {
+            let site = &f.taint_sites[0];
+            let (_, problem, fix) = BANNED
+                .iter()
+                .find(|(n, _, _)| *n == site.what)
+                .copied()
+                .unwrap_or_default();
+            out.push(Diagnostic {
+                rule: RuleId::TaintDiscipline,
+                file: file.rel_path.clone(),
+                line: site.line,
+                column: site.column,
+                snippet: file.line_text(site.line).to_string(),
+                message: format!("`{}` uses `{}`: {problem}", f.label(), site.what),
+                suggestion: fix.to_string(),
+                allowed: None,
+            });
             continue;
         }
 
@@ -102,12 +166,7 @@ pub fn check(ws: &Workspace, out: &mut Vec<Diagnostic>) {
             cur = next;
         }
         let source = *chain.last().expect("chain starts at i");
-        let src_fn = &ws.fns[source];
-        let banned = src_fn
-            .taint_sites
-            .first()
-            .map(|s| s.what.clone())
-            .unwrap_or_default();
+        let banned = &ws.fns[source].taint_sites[0].what;
         let rendered: Vec<String> = chain
             .iter()
             .map(|&k| {
@@ -125,7 +184,7 @@ pub fn check(ws: &Workspace, out: &mut Vec<Diagnostic>) {
             column: f.column,
             snippet: file.line_text(f.line).to_string(),
             message: format!(
-                "`{}` transitively reaches R2-banned `{}` via {}",
+                "`{}` transitively reaches banned `{}` via {}",
                 f.label(),
                 banned,
                 rendered.join(" -> "),
@@ -174,21 +233,27 @@ mod tests {
     }
 
     #[test]
-    fn direct_uses_are_left_to_r2() {
+    fn direct_uses_are_flagged_at_the_banned_identifier() {
         let ws = Workspace::from_sources(&[(
             "crates/sim/src/engine.rs",
-            "pub fn step() { let _ = std::time::Instant::now(); }\n",
+            "pub fn step() {\n    let _ = std::time::Instant::now();\n}\n",
         )])
         .unwrap();
         let mut out = Vec::new();
         check(&ws, &mut out);
-        assert!(out.is_empty(), "{out:#?}");
+        assert_eq!(out.len(), 1, "{out:#?}");
+        assert_eq!(out[0].line, 2);
+        assert!(
+            out[0].message.contains("`step` uses `Instant`"),
+            "{}",
+            out[0].message
+        );
     }
 
     #[test]
-    fn sources_inside_r2_scope_are_left_to_r2() {
-        // core::helper's Instant is flagged by R2 in core itself;
-        // re-reporting every caller would duplicate one root cause.
+    fn sources_inside_result_affecting_crates_taint_their_callers() {
+        // The direct use in core and the sim caller that reaches it are
+        // both flagged; the persist codec is held to the same rule.
         let ws = Workspace::from_sources(&[
             (
                 "crates/sim/src/engine.rs",
@@ -198,11 +263,24 @@ mod tests {
                 "crates/core/src/time.rs",
                 "pub fn helper_now() { let _ = std::time::Instant::now(); }\n",
             ),
+            ("crates/persist/src/lib.rs", "pub fn stamp() { step(); }\n"),
         ])
         .unwrap();
         let mut out = Vec::new();
         check(&ws, &mut out);
-        assert!(out.is_empty(), "{out:#?}");
+        let files: Vec<&str> = out.iter().map(|d| d.file.as_str()).collect();
+        assert_eq!(
+            files,
+            vec![
+                "crates/core/src/time.rs",
+                "crates/persist/src/lib.rs",
+                "crates/sim/src/engine.rs"
+            ],
+            "{out:#?}"
+        );
+        assert!(out[1]
+            .message
+            .contains("persist::stamp -> sim::step -> core::helper_now"));
     }
 
     #[test]

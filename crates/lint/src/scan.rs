@@ -1,12 +1,12 @@
-//! Token-pattern scanning utilities shared by the rules.
+//! Token-pattern scanning utilities shared by the model and the rules.
 //!
 //! The rules match patterns over *sibling runs*: the token sequence inside
-//! one delimiter level. Method chains like `.partial_cmp(x).unwrap()` are
-//! siblings (`partial_cmp`, `(x)`, `.`, `unwrap`, `()`), so sibling-level
-//! matching plus recursion into every group reaches every pattern the
-//! rules care about without needing expression parsing.
+//! one delimiter level. Method chains like `self.queue.push(x)` are
+//! siblings (`self`, `.`, `queue`, `.`, `push`, `(x)`), so sibling-level
+//! matching plus recursion into every group reaches every call site and
+//! banned identifier without needing expression parsing.
 
-use proc_macro2::{Spacing, TokenTree};
+use proc_macro2::TokenTree;
 
 /// Calls `f` on every sibling run in the tree: the top-level slice and,
 /// recursively, the contents of every group.
@@ -29,65 +29,6 @@ pub fn is_punct(t: &TokenTree, ch: char) -> bool {
     matches!(t, TokenTree::Punct(p) if p.as_char() == ch)
 }
 
-/// A maximal multi-character operator: consecutive `Joint` puncts plus the
-/// final punct (`==`, `!=`, `+=`, `->`, `..=`, ...).
-#[derive(Debug)]
-pub struct OpRun {
-    /// The operator characters, in order.
-    pub op: String,
-    /// Index of the first punct in the sibling slice.
-    pub start: usize,
-    /// Index one past the last punct.
-    pub end: usize,
-}
-
-/// Splits a sibling run into its maximal operator runs.
-pub fn operator_runs(tokens: &[TokenTree]) -> Vec<OpRun> {
-    let mut runs = Vec::new();
-    let mut i = 0usize;
-    while i < tokens.len() {
-        let TokenTree::Punct(first) = &tokens[i] else {
-            i += 1;
-            continue;
-        };
-        let start = i;
-        let mut op = String::new();
-        op.push(first.as_char());
-        let mut spacing = first.spacing();
-        let mut j = i + 1;
-        while spacing == Spacing::Joint {
-            match tokens.get(j) {
-                Some(TokenTree::Punct(p)) => {
-                    op.push(p.as_char());
-                    spacing = p.spacing();
-                    j += 1;
-                }
-                _ => break,
-            }
-        }
-        runs.push(OpRun { op, start, end: j });
-        i = j;
-    }
-    runs
-}
-
-/// Whether a literal's source text denotes a float (`1.0`, `1.`, `2e-3`,
-/// `1f64`, `1_000.5`), as opposed to an integer, string, char, or byte
-/// literal.
-pub fn is_float_literal(repr: &str) -> bool {
-    let first = repr.chars().next().unwrap_or(' ');
-    if !first.is_ascii_digit() {
-        return false; // strings, chars, prefixed literals
-    }
-    if repr.starts_with("0x") || repr.starts_with("0o") || repr.starts_with("0b") {
-        return false;
-    }
-    repr.contains('.')
-        || repr.ends_with("f32")
-        || repr.ends_with("f64")
-        || repr.contains(['e', 'E'])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -95,23 +36,6 @@ mod tests {
 
     fn toks(src: &str) -> Vec<TokenTree> {
         src.parse::<TokenStream>().unwrap().tokens().to_vec()
-    }
-
-    #[test]
-    fn operator_runs_split_correctly() {
-        let tokens = toks("a == b && c <= d.e");
-        let ops: Vec<String> = operator_runs(&tokens).into_iter().map(|r| r.op).collect();
-        assert_eq!(ops, vec!["==", "&&", "<=", "."]);
-    }
-
-    #[test]
-    fn float_literals_are_recognized() {
-        for yes in ["1.0", "1.", "2e-3", "2E5", "1f64", "3.5f32", "1_000.5"] {
-            assert!(is_float_literal(yes), "{yes} should be a float");
-        }
-        for no in ["1", "0xFF", "0b10", "100u32", "\"1.0\"", "'e'", "b'x'"] {
-            assert!(!is_float_literal(no), "{no} should not be a float");
-        }
     }
 
     #[test]

@@ -1,10 +1,8 @@
 //! The per-file source model the rules operate on: workspace-relative
 //! location, crate classification, raw text (for snippets and `// lint:`
-//! markers), and the parsed item tree with test-region classification.
+//! markers), and the parsed item tree.
 
 use std::path::Path;
-
-use syn::{Attribute, Item};
 
 /// Where a file sits inside its crate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,48 +64,6 @@ impl SourceFile {
             .map(|s| s.trim())
             .unwrap_or("")
     }
-
-    /// Visits every item recursively (entering mods and impls), calling
-    /// `visit` with the item and whether any enclosing scope — the file
-    /// role or a `#[cfg(test)]` / `#[test]` attribute — marks it as test
-    /// code.
-    pub fn walk_items(&self, visit: &mut dyn FnMut(&Item, bool)) {
-        let file_is_test = self.role == Role::Test;
-        for item in &self.ast.items {
-            walk_item(item, file_is_test, visit);
-        }
-    }
-}
-
-fn walk_item(item: &Item, inherited_test: bool, visit: &mut dyn FnMut(&Item, bool)) {
-    let in_test = inherited_test || attrs_mark_test(item.attrs());
-    visit(item, in_test);
-    match item {
-        Item::Mod(m) => {
-            if let Some(content) = &m.content {
-                for child in content {
-                    walk_item(child, in_test, visit);
-                }
-            }
-        }
-        Item::Impl(i) => {
-            for child in &i.items {
-                walk_item(child, in_test, visit);
-            }
-        }
-        _ => {}
-    }
-}
-
-/// Whether an attribute list marks its item as test-only: `#[test]`,
-/// `#[cfg(test)]`, `#[cfg(any(test, ...))]`, or `#[cfg_attr(test, ...)]`
-/// gates.
-fn attrs_mark_test(attrs: &[Attribute]) -> bool {
-    attrs.iter().any(|a| {
-        a.path == "test"
-            || a.path.ends_with("::test")
-            || (a.path == "cfg" && a.contains_word("test"))
-    })
 }
 
 /// Splits a workspace-relative path into (crate name, role).
@@ -269,28 +225,5 @@ pub struct Untracked;
 ";
         let f = SourceFile::parse("crates/sim/src/x.rs", src).unwrap();
         assert_eq!(f.epoch_guarded, vec!["Tracked".to_string()]);
-    }
-
-    #[test]
-    fn walk_items_flags_cfg_test_regions() {
-        let src = "\
-pub fn prod() {}
-
-#[cfg(test)]
-mod tests {
-    pub fn helper() {}
-}
-";
-        let f = SourceFile::parse("crates/sim/src/x.rs", src).unwrap();
-        let mut seen = Vec::new();
-        f.walk_items(&mut |item, in_test| {
-            if let Item::Fn(func) = item {
-                seen.push((func.sig.ident.clone(), in_test));
-            }
-        });
-        assert_eq!(
-            seen,
-            vec![("prod".to_string(), false), ("helper".to_string(), true)]
-        );
     }
 }

@@ -15,7 +15,7 @@ fn sources() -> Vec<(&'static str, String)> {
         ("crates/bench/src/fixture.rs", "r5_helper.rs"),
         ("crates/pmf/src/fixture_a.rs", "r6_positive.rs"),
         ("crates/core/src/fixture_b.rs", "r1v2_positive.rs"),
-        ("crates/workload/src/fixture_c.rs", "r2_positive.rs"),
+        ("crates/workload/src/fixture_c.rs", "r5_direct.rs"),
     ];
     fixtures
         .iter()

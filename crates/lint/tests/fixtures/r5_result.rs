@@ -1,7 +1,7 @@
-//! R5 fixture, result-affecting side: simulation code that launders an
-//! R2-banned construct through a helper crate (`r5_helper.rs`, parsed as
-//! a `crates/bench` source). R2 sees nothing here — no banned identifier
-//! appears — but the call graph reaches `thread_rng` two hops away.
+//! R5 fixture, result-affecting side: simulation code that launders a
+//! banned construct through a helper crate (`r5_helper.rs`, parsed as a
+//! `crates/bench` source). No banned identifier appears here, but the
+//! call graph reaches `thread_rng` two hops away.
 
 /// VIOLATION: reaches `bench::jitter -> bench::entropy_seed ->
 /// thread_rng` through the call graph.

@@ -1,8 +1,9 @@
 //! Mutation checks: the lint must turn red when the invariants it
 //! certifies are actually broken in the *real* sources. Each test loads
 //! a production file, applies a targeted mutation in memory (deleting an
-//! epoch bump, injecting an allocation into a certified callee), reruns
-//! the rules, and asserts a fresh, unallowlisted diagnostic appears.
+//! epoch bump, injecting an allocation into a certified callee, splicing
+//! a `HashMap` into result-affecting code), reruns the rules, and
+//! asserts a fresh, unallowlisted diagnostic appears.
 //! This is the difference between "the linter runs" and "the linter
 //! protects": a rule that cannot catch its own motivating mutation is
 //! dead weight.
@@ -45,6 +46,21 @@ fn real_allowlist_for(rel: &str) -> Allowlist {
     Allowlist {
         entries: full.entries.into_iter().filter(|e| e.file == rel).collect(),
     }
+}
+
+/// Splices `probe` just inside the body of the function whose signature
+/// starts on 1-based line `sig_line`: the first `{` after that line.
+fn splice_into_body(pristine: &str, sig_line: usize, probe: &str) -> String {
+    let sig_byte: usize = pristine
+        .lines()
+        .take(sig_line - 1)
+        .map(|l| l.len() + 1)
+        .sum();
+    let brace = pristine[sig_byte..]
+        .find('{')
+        .map(|i| sig_byte + i)
+        .expect("function has a body brace");
+    format!("{}{{{probe}{}", &pristine[..brace], &pristine[brace + 1..])
 }
 
 #[test]
@@ -114,19 +130,8 @@ fn injecting_a_push_into_an_evaluate_all_into_callee_turns_the_lint_red() {
         .expect("evaluate_all_into has in-file callees");
     let callee_name = ws.fns[callee].name.clone();
 
-    // Splice an allocation just inside the callee's body: locate the
-    // signature line, then the opening brace that follows it.
-    let sig_byte: usize = pristine
-        .lines()
-        .take(ws.fns[callee].line - 1)
-        .map(|l| l.len() + 1)
-        .sum();
-    let brace = pristine[sig_byte..]
-        .find('{')
-        .map(|i| sig_byte + i)
-        .expect("callee has a body brace");
     let probe = " let mut __probe: Vec<u64> = Vec::new(); __probe.push(1);";
-    let mutated = format!("{}{{{probe}{}", &pristine[..brace], &pristine[brace + 1..]);
+    let mutated = splice_into_body(&pristine, ws.fns[callee].line, probe);
 
     let baseline = rule_findings(&[(REL, &pristine)], RuleId::AllocFree);
     let mutated_findings = rule_findings(&[(REL, &mutated)], RuleId::AllocFree);
@@ -158,8 +163,8 @@ fn injecting_a_push_into_an_evaluate_all_into_callee_turns_the_lint_red() {
 #[test]
 fn laundering_thread_rng_through_a_helper_crate_turns_the_lint_red() {
     // A synthetic but realistically-shaped pair: result-affecting engine
-    // code calling a helper crate whose innards read OS entropy. Neither
-    // file contains a banned identifier visible to R2 from the sim side.
+    // code calling a helper crate whose innards read OS entropy. The
+    // engine file itself contains no banned identifier.
     let engine_src = "\
 pub fn choose_candidate(scores: &mut [f64]) -> usize {\n\
     tie_break(scores)\n\
@@ -202,4 +207,48 @@ fn entropy() -> u64 {\n\
     assert!(clean
         .violations()
         .all(|d| d.rule != RuleId::TaintDiscipline));
+}
+
+#[test]
+fn splicing_a_hash_map_into_a_sim_function_turns_the_lint_red() {
+    const REL: &str = "crates/sim/src/state.rs";
+    let pristine = read_source(REL);
+    let ws = Workspace::from_sources(&[(REL, &pristine)]).expect("state.rs parses");
+    let first_fn = |in_test: bool| {
+        ws.fns
+            .iter()
+            .find(|f| f.in_test == in_test && f.block.is_some())
+            .map(|f| (f.name.clone(), f.line))
+            .expect("state.rs has production and test functions")
+    };
+    let probe = " let __probe = std::collections::HashMap::<u32, u32>::new();";
+    let allowlist = real_allowlist_for(REL);
+    let red_probes = |rel: &str, src: &str| {
+        let result =
+            ecds_lint::run_on_sources(&[(rel, src)], &allowlist).expect("mutated source parses");
+        result
+            .violations()
+            .filter(|d| d.rule == RuleId::TaintDiscipline && d.snippet.contains("__probe"))
+            .count()
+    };
+
+    let (name, line) = first_fn(false);
+    let mutated = splice_into_body(&pristine, line, probe);
+    assert_eq!(
+        red_probes(REL, &mutated),
+        1,
+        "a HashMap spliced into `{name}` did not turn R5 red against lint.toml"
+    );
+
+    // Test code cannot reach `results/`: the same splice into a
+    // `#[cfg(test)]` function, or the mutated file as an integration
+    // test, stays green.
+    let (test_name, test_line) = first_fn(true);
+    let in_test_region = splice_into_body(&pristine, test_line, probe);
+    assert_eq!(
+        red_probes(REL, &in_test_region),
+        0,
+        "`{test_name}` is test code"
+    );
+    assert_eq!(red_probes("crates/sim/tests/state.rs", &mutated), 0);
 }

@@ -11,9 +11,10 @@
 //!
 //! 1. **Fixed-width little-endian only.** Every integer on the wire is
 //!    `u8`/`u16`/`u32`/`u64`; floats travel as `f64::to_bits`. Pointer-width
-//!    types never appear in the format (enforced by ecds-lint R2's
-//!    persist-crate ban table), so a checkpoint written on one platform
-//!    restores on any other.
+//!    types and native-endian conversions never appear in this crate
+//!    (enforced by clippy: `crates/persist/clippy.toml` and the
+//!    `host_endian_bytes` deny below), so a checkpoint written on one
+//!    platform restores on any other.
 //! 2. **Typed failures, never panics.** Decoding attacker- or
 //!    disk-corrupted bytes returns [`DecodeError`]; no code path in this
 //!    crate unwraps, panics, or silently misreads.
@@ -29,6 +30,7 @@
 //! primitives.
 
 #![warn(missing_docs)]
+#![deny(clippy::host_endian_bytes)]
 
 /// Magic number opening every sealed envelope (`b"ECDSCKPT"` read as a
 /// little-endian `u64`).

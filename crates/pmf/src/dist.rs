@@ -177,6 +177,10 @@ impl Uniform {
     }
 
     /// Draws one variate.
+    #[expect(
+        clippy::float_cmp,
+        reason = "degenerate-range guard on two stored bounds: gen_range panics on an empty range, and lo == hi holds exactly when both bounds were set to the same value"
+    )]
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         if self.lo == self.hi {
             self.lo

@@ -49,7 +49,7 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// callers that need soundness must confirm with
 /// [`impulses_bit_identical`]. No per-process entropy is involved, so the
 /// hash is stable across runs and platforms (the determinism discipline of
-/// ecds-lint R2).
+/// DESIGN.md §9).
 pub(crate) fn fingerprint_impulses(impulses: &[Impulse]) -> u64 {
     let mut hash = FNV_OFFSET;
     for imp in impulses {

@@ -100,6 +100,10 @@ impl TransitionLog {
             let (t1, _) = w[1];
             self.folded += watts(s0) * (t1 - t0);
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "TransitionLog::new seeds entries with the initial state and nothing ever removes entries; last() is always Some"
+        )]
         let last = *self.entries.last().expect("log never empty");
         self.entries.clear();
         self.entries.push(last);
@@ -110,6 +114,10 @@ impl TransitionLog {
     /// physically transitioned).
     pub fn record(&mut self, time: Time, state: PState) {
         assert!(self.end.is_none(), "log already finalized");
+        #[expect(
+            clippy::expect_used,
+            reason = "TransitionLog::new seeds entries with the initial state and nothing ever removes entries; last() is always Some"
+        )]
         let (last_t, last_s) = *self.entries.last().expect("log never empty");
         assert!(
             time >= last_t,
@@ -123,6 +131,10 @@ impl TransitionLog {
     /// Closes the log at `end` (the workload-end transition).
     pub fn finalize(&mut self, end: Time) {
         assert!(self.end.is_none(), "log already finalized");
+        #[expect(
+            clippy::expect_used,
+            reason = "TransitionLog::new seeds entries with the initial state and nothing ever removes entries; last() is always Some"
+        )]
         let (last_t, _) = *self.entries.last().expect("log never empty");
         assert!(end >= last_t, "end must not precede the last transition");
         self.end = Some(end);
@@ -150,6 +162,10 @@ impl TransitionLog {
     ///
     /// Panics when the log is not finalized.
     pub fn core_energy(&self, watts: impl Fn(PState) -> f64) -> f64 {
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panic contract (`# Panics` on core_energy): integrating an unfinalized log is a caller bug"
+        )]
         let end = self.end.expect("finalize the log before integrating");
         // `folded` is 0.0 unless compaction ran, so the uncompacted f64 op
         // sequence is unchanged.
@@ -159,6 +175,10 @@ impl TransitionLog {
             let (t1, _) = w[1];
             total += watts(s0) * (t1 - t0);
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "TransitionLog::new seeds entries with the initial state and nothing ever removes entries; last() is always Some"
+        )]
         let (t_last, s_last) = *self.entries.last().expect("log never empty");
         total += watts(s_last) * (end - t_last);
         total
@@ -250,6 +270,10 @@ impl EnergyAccountant {
         let mut idx = 0;
         while idx < changes.len() {
             let t = changes[idx].0;
+            #[expect(
+                clippy::float_cmp,
+                reason = "groups transitions recorded at one instant: t is copied from a stored transition time, so this is bit equality of stored times, not a tolerance check"
+            )]
             while idx < changes.len() && changes[idx].0 == t {
                 let (_, core, state) = changes[idx];
                 let node = cluster.node_of(cluster.core(core));
@@ -258,6 +282,10 @@ impl EnergyAccountant {
                 total += per_core[core];
                 idx += 1;
             }
+            #[expect(
+                clippy::float_cmp,
+                reason = "merges a timeline point into the previous one only when both carry the same stored transition time; distinct recorded times stay distinct points"
+            )]
             match out.last_mut() {
                 Some(last) if last.0 == t => last.1 = total,
                 _ => out.push((t, total)),
@@ -284,6 +312,10 @@ impl EnergyAccountant {
         let mut changes: Vec<Change> = Vec::new();
         let mut end_time: Time = f64::NEG_INFINITY;
         for (core, log) in self.logs.iter().enumerate() {
+            #[expect(
+                clippy::expect_used,
+                reason = "documented panic contract: exhaustion_time requires finalize(); querying earlier is a caller bug"
+            )]
             let end = log
                 .end
                 .expect("finalize the accountant before querying exhaustion");
@@ -323,6 +355,10 @@ impl EnergyAccountant {
                 consumed += segment;
                 now = t;
             }
+            #[expect(
+                clippy::float_cmp,
+                reason = "groups transitions recorded at one instant: t is copied from a stored transition time, so this is bit equality of stored times, not a tolerance check"
+            )]
             while idx < changes.len() && changes[idx].time == t {
                 let c = changes[idx];
                 total_power -= per_core_power[c.core];

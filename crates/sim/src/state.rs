@@ -123,6 +123,10 @@ impl CoreState {
     /// Finishes the executing task, returning it; the next queued task (if
     /// any) is returned for the engine to start.
     pub fn complete(&mut self) -> (ExecutingTask, Option<QueuedTask>) {
+        #[expect(
+            clippy::expect_used,
+            reason = "engine invariant: complete() is only dispatched for a Completion event of the task this core started"
+        )]
         let done = self.executing.take().expect("no task executing");
         self.epoch += 1;
         (done, self.queued.pop_front())

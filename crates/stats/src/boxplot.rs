@@ -41,6 +41,10 @@ pub fn render_boxplots(series: &[(String, BoxStats)], width: usize) -> String {
     let col = |x: f64| -> usize { (((x - lo) / span) * (width - 1) as f64).round() as usize };
 
     let mut out = String::new();
+    #[expect(
+        clippy::expect_used,
+        reason = "row buffer is built exclusively from ASCII bytes (spaces, '-', '=', '[', ']', '|', '*'); from_utf8 cannot fail"
+    )]
     for (label, s) in series {
         let mut row = vec![b' '; width];
         // Whiskers.

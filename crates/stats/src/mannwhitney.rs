@@ -63,6 +63,10 @@ pub fn mann_whitney_u(a: &[f64], b: &[f64]) -> Option<MannWhitney> {
     let mut i = 0;
     while i < n {
         let mut j = i;
+        #[expect(
+            clippy::float_cmp,
+            reason = "tie detection for midranks: the rank-sum test treats exactly equal observations as ties by definition, and the values are compared as stored"
+        )]
         while j + 1 < n && pooled[j + 1].0 == pooled[i].0 {
             j += 1;
         }

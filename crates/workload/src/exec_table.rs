@@ -186,6 +186,10 @@ impl ExecTable {
     /// The *actual* execution time realized for a task with pre-drawn
     /// `quantile`, if executed on `node` in `state`.
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "quantiles come from Prob::sample which draws from [0, 1); quantile() only returns None outside that range"
+    )]
     pub fn actual_time(
         &self,
         task_type: TaskTypeId,
