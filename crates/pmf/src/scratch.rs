@@ -19,14 +19,19 @@
 //! non-associative, so any rounding divergence would compound across a
 //! trial. Three properties carry the contract:
 //!
-//! 1. **Sorting.** The legacy path stable-sorts the `n × m` products. A
-//!    stable sort's output *sequence* is uniquely determined (non-decreasing
-//!    values, ties in original order), so any stable algorithm reproduces it
-//!    bit-for-bit. Each of the `n` product rows (one `small` impulse against
-//!    every `large` impulse) is already non-decreasing — float addition is
-//!    monotone — so a bottom-up merge of the `n` pre-sorted rows (adjacent
-//!    run pairs, ties taking the left run) is such a stable algorithm, and
-//!    it runs in `O(n·m·log n)` without allocating.
+//! 1. **Sorting.** The legacy path stable-sorts the `n × m` products by
+//!    `f64::total_cmp`. A stable sort's output *sequence* is uniquely
+//!    determined (non-decreasing values, ties in original order), so any
+//!    stable algorithm reproduces it bit-for-bit. The kernel counting-sorts
+//!    the products: each gets the unsigned key that orders like
+//!    `total_cmp`; float addition is monotone in each operand, so the keys
+//!    of `small[0] + large[0]` and `small[n-1] + large[m-1]` bound every
+//!    key; and a right shift of `key − lo` buckets the products
+//!    monotonically into at most `2·(n·m).next_power_of_two()` buckets.
+//!    Scattering in row-major order keeps ties in legacy order, and one
+//!    insertion pass that moves an element only past strictly greater ones
+//!    finishes each bucket stably — `O(n·m)` on spread values, with no
+//!    allocation once the workspace has grown.
 //! 2. **Summation order.** Coincident-value merging accumulates
 //!    probabilities in emission order, exactly as
 //!    `sort_and_merge` (in `crate::pmf`) does; the reduction pass replays
@@ -40,6 +45,8 @@
 //! The legacy entry points remain untouched as the differential reference;
 //! `crates/pmf/tests/kernel_equivalence.rs` proves the equivalence over
 //! arbitrary pmfs, policies, and chained convolutions.
+
+use std::cmp::Ordering;
 
 use crate::impulse::Impulse;
 use crate::pmf::{values_coincide, Pmf};
@@ -137,10 +144,10 @@ impl<'a> PmfView<'a> {
 /// allocation-free-path coverage.
 #[derive(Debug, Default)]
 pub struct PmfScratch {
-    /// The `n × m` products, row-major: row `r` holds `small[r] + large[·]`.
+    /// The `n × m` products, sorted by value (ties in row-major order).
     products: Vec<Impulse>,
-    /// Ping-pong buffer for the bottom-up run merge over `products`.
-    merge_buf: Vec<Impulse>,
+    /// The counting sort's per-bucket counts, then its scatter cursors.
+    counts: Vec<u32>,
     /// Sorted, coincidence-merged support of the convolution.
     merged: Vec<Impulse>,
     /// Final (reduced) result of the most recent kernel call.
@@ -177,20 +184,25 @@ impl PmfScratch {
         self.kernel_calls = calls;
     }
 
-    /// Grows the kernel buffers so that any later call with at most
-    /// `products` pairwise products (`a.len() × b.len()`) runs without
-    /// allocating. For a workspace whose calls are not known in advance —
-    /// the two lanes of a fanned-out decision split its calls by schedule —
-    /// this reaches the high-water mark that running every call would.
+    /// Grows the kernel buffers, and the prefix buffer that trades places
+    /// with the kernel output, so that any later kernel call with at most
+    /// `products` pairwise products (`a.len() × b.len()`) — and any prefix
+    /// load or chain built from such calls — runs without allocating. For
+    /// a workspace whose calls are not known in advance — the two lanes of
+    /// a fanned-out decision split its calls by schedule — this reaches the
+    /// high-water mark that running every call would.
     pub fn reserve_kernel(&mut self, products: usize) {
         for buf in [
             &mut self.products,
-            &mut self.merge_buf,
             &mut self.merged,
             &mut self.out,
+            &mut self.prefix,
         ] {
             buf.reserve(products.saturating_sub(buf.len()));
         }
+        let buckets = max_buckets(products);
+        self.counts
+            .reserve(buckets.saturating_sub(self.counts.len()));
     }
 
     /// Fused equivalent of `a.convolve(b, policy)`: convolves and reduces
@@ -212,13 +224,13 @@ impl PmfScratch {
     ) -> PmfView<'_> {
         let Self {
             products,
-            merge_buf,
+            counts,
             merged,
             out,
             kernel_calls,
             ..
         } = self;
-        fused_convolve_reduce(a, b, policy, products, merge_buf, merged, out);
+        fused_convolve_reduce(a, b, policy, products, counts, merged, out);
         *kernel_calls += 1;
         PmfView::new(out)
     }
@@ -291,21 +303,13 @@ impl PmfScratch {
         debug_assert!(self.has_prefix(), "no prefix loaded");
         let Self {
             products,
-            merge_buf,
+            counts,
             merged,
             out,
             prefix,
             kernel_calls,
         } = self;
-        fused_convolve_reduce(
-            prefix,
-            b.impulses(),
-            policy,
-            products,
-            merge_buf,
-            merged,
-            out,
-        );
+        fused_convolve_reduce(prefix, b.impulses(), policy, products, counts, merged, out);
         *kernel_calls += 1;
         std::mem::swap(prefix, out);
     }
@@ -322,7 +326,7 @@ fn fused_convolve_reduce(
     b: &[Impulse],
     policy: ReductionPolicy,
     products: &mut Vec<Impulse>,
-    merge_buf: &mut Vec<Impulse>,
+    counts: &mut Vec<u32>,
     merged: &mut Vec<Impulse>,
     out: &mut Vec<Impulse>,
 ) {
@@ -331,46 +335,55 @@ fn fused_convolve_reduce(
     let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
     let (n, m) = (small.len(), large.len());
 
-    // Pass 1: the n × m products, row-major — identical push order (and
-    // identical `value + value` / `prob * prob` arithmetic) to the legacy
-    // product loop, so the stable-sort-equivalence argument applies.
-    products.clear();
-    products.reserve(n * m);
+    // Pass 1: count the n × m products per bucket. Products are generated
+    // row-major with the legacy product loop's `value + value` arithmetic;
+    // float addition is monotone in each operand, so the first and last
+    // products bound every key, and `(key − lo) >> shift` is monotone.
+    let total = n * m;
+    assert!(
+        u32::try_from(total).is_ok(),
+        "bucket counts are u32: at most u32::MAX products per call"
+    );
+    let lo = sort_key(small[0].value + large[0].value);
+    let hi = sort_key(small[n - 1].value + large[m - 1].value);
+    debug_assert!(lo <= hi);
+    let shift = bucket_shift(hi - lo, total);
+    counts.clear();
+    counts.resize(((hi - lo) >> shift) as usize + 1, 0);
     for ia in small {
         for ib in large {
-            products.push(Impulse::new(ia.value + ib.value, ia.prob * ib.prob));
+            let key = sort_key(ia.value + ib.value);
+            debug_assert!((lo..=hi).contains(&key));
+            counts[((key - lo) >> shift) as usize] += 1;
         }
+    }
+    // Exclusive prefix sum: each count becomes its bucket's first slot.
+    let mut next = 0u32;
+    for count in counts.iter_mut() {
+        let len = *count;
+        *count = next;
+        next += len;
     }
 
-    // Pass 2: bottom-up merge of the n pre-sorted rows (each row is
-    // non-decreasing because float addition is monotone in one operand).
-    // Adjacent runs are merged pairwise, ties always taking the *left* run —
-    // a stable merge sort seeded with the row-major runs. A stable sort's
-    // output sequence is uniquely determined, so this emits the products in
-    // exactly the order the legacy stable `sort_by` would, in O(n·m·log n)
-    // and without allocating. The sorted products are then streamed through
-    // the coincident-value merge, replaying `sort_and_merge`'s accumulation.
-    let total = n * m;
-    let mut width = m;
-    // Ping-pong between `products` and `merge_buf`; `src` always holds the
-    // current (partially merged) runs.
-    merge_buf.clear();
-    merge_buf.resize(total, Impulse::new(0.0, 1.0));
-    let mut src: &mut [Impulse] = products;
-    let mut dst: &mut [Impulse] = merge_buf;
-    while width < total {
-        let mut start = 0;
-        while start < total {
-            let mid = usize::min(start + width, total);
-            let end = usize::min(start + 2 * width, total);
-            merge_runs(&src[start..mid], &src[mid..end], &mut dst[start..end]);
-            start = end;
+    // Pass 2: recompute the products (same arithmetic, same bits) and
+    // scatter them in row-major order, so ties keep the legacy order, then
+    // finish each bucket with one stable insertion pass. A stable sort's
+    // output is unique, so this is exactly the legacy `sort_by(total_cmp)`
+    // order. The sorted products are then streamed through the
+    // coincident-value merge, replaying `sort_and_merge`'s accumulation.
+    products.clear();
+    products.resize(total, Impulse::new(0.0, 1.0));
+    for ia in small {
+        for ib in large {
+            let value = ia.value + ib.value;
+            let slot = &mut counts[((sort_key(value) - lo) >> shift) as usize];
+            products[*slot as usize] = Impulse::new(value, ia.prob * ib.prob);
+            *slot += 1;
         }
-        std::mem::swap(&mut src, &mut dst);
-        width *= 2;
     }
+    insertion_sort_stable(products);
     merged.clear();
-    for &imp in src.iter() {
+    for &imp in products.iter() {
         push_merged(merged, imp);
     }
 
@@ -393,23 +406,30 @@ fn fused_convolve_reduce(
     );
 }
 
-/// One stable two-run merge step: `a` and `b` are non-decreasing by value;
-/// ties take `a` (the left run), so relative order of equal values — and
-/// with it the stable-sort output permutation — is preserved.
+/// The unsigned integer that orders exactly like [`f64::total_cmp`]
+/// (including `−0.0 < +0.0`): negative values have every bit flipped,
+/// non-negative ones only the sign bit.
 #[inline]
-fn merge_runs(a: &[Impulse], b: &[Impulse], out: &mut [Impulse]) {
-    debug_assert_eq!(a.len() + b.len(), out.len());
-    let (mut i, mut j) = (0, 0);
-    for slot in out.iter_mut() {
-        // `b` wins only on strict `<`; equality keeps the left run.
-        if i < a.len() && (j >= b.len() || a[i].value <= b[j].value) {
-            *slot = a[i];
-            i += 1;
-        } else {
-            *slot = b[j];
-            j += 1;
-        }
+fn sort_key(value: f64) -> u64 {
+    let bits = value.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
     }
+}
+
+/// The bucket budget of a counting sort over `products` keys: twice the
+/// next power of two, so a bucket holds at most half a product on average.
+fn max_buckets(products: usize) -> usize {
+    2 * products.next_power_of_two()
+}
+
+/// The smallest right shift that maps a key span of `span` into at most
+/// [`max_buckets`]`(products)` buckets.
+fn bucket_shift(span: u64, products: usize) -> u32 {
+    let span_bits = u64::BITS - span.leading_zeros();
+    span_bits.saturating_sub(max_buckets(products).trailing_zeros())
 }
 
 /// Streaming arm of [`crate::pmf::sort_and_merge`]: merge `imp` into the
@@ -466,16 +486,19 @@ fn reduce_into(src: &[Impulse], cap: usize, out: &mut Vec<Impulse>) {
     merge_coincident_in_place(out);
 }
 
-/// Stable in-place insertion sort by value — O(n) on the (nearly always
-/// already sorted) centroid list, and by stability bit-identical in output
-/// order to the legacy `sort_by`.
+/// Stable in-place insertion sort by [`f64::total_cmp`] — linear on
+/// nearly sorted input (bucketed products, bucket centroids), and by
+/// stability bit-identical in output order to the legacy `sort_by`. An
+/// element moves only past strictly greater ones.
 fn insertion_sort_stable(xs: &mut [Impulse]) {
     for i in 1..xs.len() {
+        let cur = xs[i];
         let mut j = i;
-        while j > 0 && xs[j - 1].value > xs[j].value {
-            xs.swap(j - 1, j);
+        while j > 0 && xs[j - 1].value.total_cmp(&cur.value) == Ordering::Greater {
+            xs[j] = xs[j - 1];
             j -= 1;
         }
+        xs[j] = cur;
     }
 }
 
@@ -654,6 +677,101 @@ mod tests {
         assert!(!scratch.has_prefix());
     }
 
+    /// `a ⊛ b` through the kernel and the legacy pipeline, compared bit
+    /// for bit (`Pmf`'s `==` would let `−0.0` stand in for `+0.0`).
+    fn assert_fused_bits_eq_legacy(a: &Pmf, b: &Pmf) {
+        let bits = |p: &Pmf| -> Vec<(u64, u64)> {
+            p.impulses()
+                .iter()
+                .map(|i| (i.value.to_bits(), i.prob.to_bits()))
+                .collect()
+        };
+        let policy = ReductionPolicy::unlimited();
+        let legacy = convolve(a, b, policy);
+        let fused = PmfScratch::new().convolve_reduced(a, b, policy).to_pmf();
+        assert_eq!(bits(&fused), bits(&legacy));
+    }
+
+    #[test]
+    fn sort_key_orders_like_total_cmp() {
+        let values = [
+            f64::MIN,
+            -1e6,
+            -1.0,
+            -f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            1.0,
+            1.0 + f64::EPSILON,
+            1e300,
+            f64::MAX,
+        ];
+        for x in values {
+            for y in values {
+                assert_eq!(sort_key(x).cmp(&sort_key(y)), x.total_cmp(&y), "{x} vs {y}");
+            }
+        }
+    }
+
+    #[test]
+    fn equal_products_share_one_bucket() {
+        // 1e300 + 1.0 rounds to 1e300: both products are equal, the key
+        // span is 0 and the sort runs on a single bucket.
+        assert_eq!(bucket_shift(0, 2), 0);
+        let a = pmf(&[(1e300, 1.0)]);
+        let b = pmf(&[(0.0, 0.5), (1.0, 0.5)]);
+        assert_fused_bits_eq_legacy(&a, &b);
+        assert_eq!(
+            PmfScratch::new()
+                .convolve_reduced(&a, &b, ReductionPolicy::unlimited())
+                .len(),
+            1
+        );
+    }
+
+    #[test]
+    fn products_one_ulp_apart_take_adjacent_buckets() {
+        let base = 1e300_f64;
+        let ulp = f64::from_bits(base.to_bits() + 1) - base;
+        let a = pmf(&[(base, 1.0)]);
+        let b = pmf(&[(0.0, 0.5), (ulp, 0.5)]);
+        let span = sort_key(base + ulp) - sort_key(base);
+        assert_eq!(span, 1);
+        assert_eq!(bucket_shift(span, 2), 0);
+        assert_fused_bits_eq_legacy(&a, &b);
+    }
+
+    #[test]
+    fn one_by_one_is_a_single_product() {
+        assert_eq!(bucket_shift(0, 1), 0);
+        assert_fused_bits_eq_legacy(&pmf(&[(3.0, 1.0)]), &pmf(&[(4.0, 1.0)]));
+        assert_fused_bits_eq_legacy(&pmf(&[(-0.0, 1.0)]), &pmf(&[(-0.0, 1.0)]));
+    }
+
+    #[test]
+    fn bucket_shift_fits_any_span_into_the_budget() {
+        for products in [1, 2, 3, 288, 576, 1000] {
+            let budget = max_buckets(products) as u64;
+            for span in [
+                0,
+                1,
+                budget - 1,
+                budget,
+                budget + 1,
+                u64::MAX >> 1,
+                u64::MAX,
+            ] {
+                let shift = bucket_shift(span, products);
+                assert!(span >> shift < budget, "span {span}, products {products}");
+                // The smallest such shift: one less would overflow the budget.
+                if shift > 0 {
+                    assert!(span >> (shift - 1) >= budget);
+                }
+            }
+        }
+    }
+
     #[test]
     fn insertion_sort_is_stable_and_sorts() {
         let mut xs = vec![
@@ -668,5 +786,12 @@ mod tests {
         // Stability: the 3.0 with prob 0.1 was pushed first and stays first.
         assert_eq!(xs[2].prob, 0.1);
         assert_eq!(xs[3].prob, 0.3);
+    }
+
+    #[test]
+    fn insertion_sort_orders_signed_zeros_like_total_cmp() {
+        let mut xs = vec![Impulse::new(0.0, 0.1), Impulse::new(-0.0, 0.2)];
+        insertion_sort_stable(&mut xs);
+        assert!(xs[0].value.is_sign_negative() && xs[1].value.is_sign_positive());
     }
 }

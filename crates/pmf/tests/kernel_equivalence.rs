@@ -18,6 +18,61 @@ fn arb_pmf() -> impl Strategy<Value = Pmf> {
         .prop_map(|pairs| Pmf::from_pairs(&pairs).expect("valid pairs"))
 }
 
+/// One support value from a mix that reaches every key range the fused
+/// kernel's counting sort buckets: both signed zeros, a small integer grid
+/// and a decimal grid (exactly equal and merely coincident sums), and a
+/// uniform draw over −1e3..1e6, scaled into one of four binades
+/// (1e-6, 1e-3, 1, 1e3 times the draw).
+fn arb_value() -> impl Strategy<Value = f64> {
+    (0u8..8, -1.0e3f64..1.0e6, -8i32..=8).prop_map(|(kind, x, k)| match kind {
+        0 => 0.0,
+        1 => -0.0,
+        2 => f64::from(k),
+        3 => f64::from(k) * 0.1,
+        4 => x * 1e-6,
+        5 => x * 1e-3,
+        6 => x * 1e3,
+        _ => x,
+    })
+}
+
+/// Strategy producing a valid pmf with 1..=24 impulses (the production
+/// cap) drawn from [`arb_value`]; coincident draws merge, so some pmfs
+/// come out shorter.
+fn arb_wide_pmf() -> impl Strategy<Value = Pmf> {
+    prop::collection::vec((arb_value(), 0.01f64..1.0), 1..=24)
+        .prop_map(|pairs| Pmf::from_pairs(&pairs).expect("valid pairs"))
+}
+
+/// Strategy producing a pmf with exactly `len` impulses on an arithmetic
+/// grid `base + i·step` — the production 12 × 24 and 24 × 24 kernel
+/// shapes, with a spread from 1e-3 to 1e3 per step. Relative steps stay
+/// above the merge tolerance, so no two support points coincide.
+fn arb_grid_pmf(len: usize) -> impl Strategy<Value = Pmf> {
+    (
+        -1.0e3f64..1.0e6,
+        1.0e-3f64..1.0e3,
+        prop::collection::vec(0.01f64..1.0, len),
+    )
+        .prop_map(|(base, step, weights)| {
+            let pairs: Vec<(f64, f64)> = weights
+                .iter()
+                .enumerate()
+                .map(|(i, &w)| (base + i as f64 * step, w))
+                .collect();
+            Pmf::from_pairs(&pairs).expect("valid pairs")
+        })
+}
+
+/// Every impulse's exact bit pattern: unlike `Pmf`'s `==`, this tells
+/// `−0.0` from `+0.0`.
+fn bits(p: &Pmf) -> Vec<(u64, u64)> {
+    p.impulses()
+        .iter()
+        .map(|i| (i.value.to_bits(), i.prob.to_bits()))
+        .collect()
+}
+
 /// The policies under test: no reduction, degenerate single-impulse cap,
 /// caps below and at the workspace default.
 fn arb_policy() -> impl Strategy<Value = ReductionPolicy> {
@@ -29,8 +84,71 @@ fn arb_policy() -> impl Strategy<Value = ReductionPolicy> {
     })
 }
 
+#[test]
+fn fused_orders_signed_zero_like_legacy() {
+    // −1 + 1 is +0.0 (row 0) and −0.0 + −0.0 is −0.0 (row 1). `total_cmp`
+    // puts −0.0 first, so the coincidence merge keeps −0.0 as the middle
+    // value; an IEEE `<=` tie-break would keep row 0's +0.0 instead.
+    let a = Pmf::from_pairs(&[(-1.0, 0.5), (-0.0, 0.5)]).unwrap();
+    let b = Pmf::from_pairs(&[(-0.0, 0.5), (1.0, 0.5)]).unwrap();
+    let policy = ReductionPolicy::unlimited();
+    let legacy = a.convolve(&b, policy);
+    let expected = [(-1.0f64, 0.25f64), (-0.0, 0.5), (1.0, 0.25)]
+        .map(|(v, p)| (v.to_bits(), p.to_bits()))
+        .to_vec();
+    assert_eq!(bits(&legacy), expected);
+    let mut scratch = PmfScratch::new();
+    let fused = scratch.convolve_reduced(&a, &b, policy).to_pmf();
+    assert_eq!(bits(&fused), expected);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn fused_equals_legacy_bitwise_over_wide_values(
+        a in arb_wide_pmf(),
+        b in arb_wide_pmf(),
+        policy in arb_policy(),
+    ) {
+        let legacy = a.convolve(&b, policy);
+        let mut scratch = PmfScratch::new();
+        let fused = scratch.convolve_reduced(&a, &b, policy).to_pmf();
+        prop_assert_eq!(bits(&fused), bits(&legacy));
+    }
+
+    #[test]
+    fn fused_equals_legacy_bitwise_at_production_shapes(
+        short in arb_grid_pmf(12),
+        full in arb_grid_pmf(24),
+        other in arb_grid_pmf(24),
+        policy in arb_policy(),
+    ) {
+        // 12 × 24 and 24 × 24 products, in both operand orders, through one
+        // reused workspace.
+        let mut scratch = PmfScratch::new();
+        for (a, b) in [(&short, &full), (&full, &short), (&full, &other)] {
+            let fused = scratch.convolve_reduced(a, b, policy).to_pmf();
+            prop_assert_eq!(bits(&fused), bits(&a.convolve(b, policy)));
+        }
+    }
+
+    #[test]
+    fn wide_chained_convolutions_stay_bit_identical(
+        pmfs in prop::collection::vec(arb_wide_pmf(), 2..=4),
+        policy in arb_policy(),
+    ) {
+        // The prefix is loaded through a shift by 0.0, which turns −0.0
+        // into +0.0, so the legacy fold starts from the same shift.
+        let mut legacy = pmfs[0].shift(0.0);
+        let mut scratch = PmfScratch::new();
+        scratch.load_prefix_shifted(&pmfs[0], 0.0);
+        for next in &pmfs[1..] {
+            legacy = legacy.convolve(next, policy);
+            scratch.convolve_prefix_with(next, policy);
+            prop_assert_eq!(bits(&scratch.prefix().to_pmf()), bits(&legacy));
+        }
+    }
 
     #[test]
     fn fused_equals_legacy_bitwise(a in arb_pmf(), b in arb_pmf(), policy in arb_policy()) {
