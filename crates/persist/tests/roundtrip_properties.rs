@@ -163,7 +163,7 @@ proptest! {
     }
 
     #[test]
-    fn any_single_bit_flip_is_rejected(body in prop::collection::vec(0u8..=u8::MAX, 0..64),
+    fn any_single_bit_flip_is_rejected(body in prop::collection::vec(0u8..=u8::MAX, 0..256),
                                        byte_sel in 0usize..4096,
                                        bit in 0u8..8) {
         // The checksum covers the full prefix (magic and version included),
@@ -173,6 +173,23 @@ proptest! {
         let idx = byte_sel % bent.len();
         bent[idx] ^= 1 << bit;
         prop_assert!(open(&bent, 1).is_err(), "flip at byte {idx} bit {bit} opened");
+    }
+
+    #[test]
+    fn any_two_bit_flips_are_rejected(body in prop::collection::vec(0u8..=u8::MAX, 0..256),
+                                      first_sel in 0usize..1 << 16,
+                                      offset_sel in 0usize..1 << 16) {
+        // Two distinct bits of the envelope, anywhere: the second is a
+        // non-zero offset from the first, wrapped around the envelope.
+        let sealed = seal(1, &body);
+        let bits = sealed.len() * 8;
+        let first = first_sel % bits;
+        let second = (first + 1 + offset_sel % (bits - 1)) % bits;
+        let mut bent = sealed.clone();
+        for bit in [first, second] {
+            bent[bit / 8] ^= 1 << (bit % 8);
+        }
+        prop_assert!(open(&bent, 1).is_err(), "flips at bits {first} and {second} opened");
     }
 
     #[test]

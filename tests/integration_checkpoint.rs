@@ -8,6 +8,7 @@
 //! masking and NaN-hostility cannot hide a divergence.
 
 use ecds::ext::{BatchDiscipline, BatchEdf, BatchMaxRho, BatchPolicy};
+use ecds::persist::DecodeError;
 use ecds::prelude::*;
 use ecds::sim::{ServeConfig, ServeSession};
 use ecds::workload::TraceArrivalSource;
@@ -420,10 +421,55 @@ fn restore_rejects_config_mismatch() {
     assert!(
         matches!(
             err,
-            ecds::persist::DecodeError::Corrupt("checkpoint simulator config mismatch")
+            DecodeError::Corrupt("checkpoint simulator config mismatch")
         ),
         "unexpected error: {err:?}"
     );
+}
+
+/// The LL + energy/robustness session behind the refusal tests below.
+fn refusal_scheduler(scenario: &Scenario) -> Box<dyn Mapper> {
+    build_scheduler(
+        HeuristicKind::LightestLoad,
+        FilterVariant::EnergyAndRobustness,
+        scenario,
+        0,
+    )
+}
+
+/// A checkpoint of [`refusal_scheduler`]'s session after `events` events.
+fn checkpoint_after(scenario: &Scenario, trace: &WorkloadTrace, events: u64) -> Vec<u8> {
+    let mut scheduler = refusal_scheduler(scenario);
+    let mut discipline = ImmediateDiscipline::new(scheduler.as_mut());
+    let mut source = TraceArrivalSource::new(trace);
+    let mut session = ServeSession::new(
+        scenario.cluster(),
+        scenario.table(),
+        scenario.sim_config(),
+        ServeConfig::finite(trace.len()),
+        &mut source,
+        &mut discipline,
+    );
+    session.run_events(events, &mut source, &mut discipline);
+    session.checkpoint(&source, &discipline)
+}
+
+/// Restores `bytes` into fresh collaborators and returns the refusal.
+fn restore_error(scenario: &Scenario, trace: &WorkloadTrace, bytes: &[u8]) -> DecodeError {
+    let mut scheduler = refusal_scheduler(scenario);
+    let mut discipline = ImmediateDiscipline::new(scheduler.as_mut());
+    let mut source = TraceArrivalSource::new(trace);
+    match ServeSession::restore(
+        scenario.cluster(),
+        scenario.table(),
+        scenario.sim_config(),
+        bytes,
+        &mut source,
+        &mut discipline,
+    ) {
+        Ok(_) => panic!("a refused checkpoint restored"),
+        Err(err) => err,
+    }
 }
 
 /// A checkpoint sealed with an older wire-format version is rejected with a
@@ -433,49 +479,85 @@ fn restore_rejects_config_mismatch() {
 fn restore_rejects_a_version_1_checkpoint() {
     let scenario = Scenario::small_for_tests(3);
     let trace = scenario.trace(0);
-    let build = || {
-        build_scheduler(
-            HeuristicKind::LightestLoad,
-            FilterVariant::EnergyAndRobustness,
-            &scenario,
-            0,
-        )
-    };
-    let bytes = {
-        let mut scheduler = build();
-        let mut discipline = ImmediateDiscipline::new(scheduler.as_mut());
-        let mut source = TraceArrivalSource::new(&trace);
-        let mut session = ServeSession::new(
-            scenario.cluster(),
-            scenario.table(),
-            scenario.sim_config(),
-            ServeConfig::finite(trace.len()),
-            &mut source,
-            &mut discipline,
-        );
-        session.run_events(10, &mut source, &mut discipline);
-        session.checkpoint(&source, &discipline)
-    };
+    let bytes = checkpoint_after(&scenario, &trace, 10);
     let body = ecds::persist::open(&bytes, ecds::sim::CHECKPOINT_VERSION)
         .expect("a fresh checkpoint opens");
     let old = ecds::persist::seal(1, body);
-    let mut scheduler = build();
-    let mut discipline = ImmediateDiscipline::new(scheduler.as_mut());
-    let mut source = TraceArrivalSource::new(&trace);
-    let err = ServeSession::restore(
-        scenario.cluster(),
-        scenario.table(),
-        scenario.sim_config(),
-        &old,
-        &mut source,
-        &mut discipline,
-    )
-    .expect_err("a version 1 checkpoint must not restore");
+    let err = restore_error(&scenario, &trace, &old);
     assert!(
-        matches!(
-            err,
-            ecds::persist::DecodeError::UnsupportedVersion { found: 1 }
-        ),
+        matches!(err, DecodeError::UnsupportedVersion { found: 1 }),
         "unexpected error: {err:?}"
     );
+}
+
+/// Byte-serial FNV-1a-64, the envelope checksum of versions 1 and 2.
+fn fnv1a_64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// A version 2 envelope, built by hand with its own FNV-1a-64 checksum,
+/// is refused by its version number: version 3 changed only the checksum,
+/// and an old checkpoint must say so rather than look like bit rot.
+#[test]
+fn restore_rejects_a_version_2_checkpoint() {
+    let scenario = Scenario::small_for_tests(3);
+    let trace = scenario.trace(0);
+    let bytes = checkpoint_after(&scenario, &trace, 10);
+    let body = ecds::persist::open(&bytes, ecds::sim::CHECKPOINT_VERSION)
+        .expect("a fresh checkpoint opens");
+    let mut old = Vec::with_capacity(bytes.len());
+    old.extend_from_slice(&ecds::persist::MAGIC.to_le_bytes());
+    old.extend_from_slice(&2u32.to_le_bytes());
+    old.extend_from_slice(body);
+    let checksum = fnv1a_64(&old);
+    old.extend_from_slice(&checksum.to_le_bytes());
+    let err = restore_error(&scenario, &trace, &old);
+    assert!(
+        matches!(err, DecodeError::UnsupportedVersion { found: 2 }),
+        "unexpected error: {err:?}"
+    );
+}
+
+/// Every single-bit corruption of a real mid-burst checkpoint — header,
+/// body or checksum — is refused with a typed error; none restores and
+/// none panics.
+#[test]
+fn restore_refuses_every_single_bit_flip_of_a_real_checkpoint() {
+    let scenario = Scenario::small_for_tests(11);
+    let trace = scenario.trace(0);
+    let mut bytes = checkpoint_after(&scenario, &trace, 37);
+    assert!(bytes.len() > 1_000, "checkpoint of {} bytes", bytes.len());
+    // Every refusal happens in the envelope, before the collaborators are
+    // touched, so one set serves every flip.
+    let mut scheduler = refusal_scheduler(&scenario);
+    let mut discipline = ImmediateDiscipline::new(scheduler.as_mut());
+    let mut source = TraceArrivalSource::new(&trace);
+    for idx in 0..bytes.len() {
+        for bit in 0..8 {
+            bytes[idx] ^= 1 << bit;
+            let restored = ServeSession::restore(
+                scenario.cluster(),
+                scenario.table(),
+                scenario.sim_config(),
+                &bytes,
+                &mut source,
+                &mut discipline,
+            );
+            let err = restored.err();
+            assert!(
+                matches!(
+                    err,
+                    Some(
+                        DecodeError::BadMagic
+                            | DecodeError::UnsupportedVersion { .. }
+                            | DecodeError::ChecksumMismatch
+                    )
+                ),
+                "flip at byte {idx} bit {bit}: {err:?}"
+            );
+            bytes[idx] ^= 1 << bit;
+        }
+    }
 }
