@@ -7,7 +7,7 @@ use std::cmp::Reverse;
 use ecds_cluster::{PState, NUM_PSTATES};
 use ecds_persist::{DecodeError, Decoder, Encoder, Persist};
 use ecds_pmf::{Pmf, PmfScratch, Prob, ReductionPolicy, Time};
-use ecds_sim::{DirtyCores, PrefixStamp, SystemView};
+use ecds_sim::{DirtyCores, SystemView};
 use ecds_workload::Task;
 
 use crate::candidate::EvaluatedCandidate;
@@ -160,9 +160,10 @@ struct CachedPrefix {
     /// [`prefix_with_validity`]).
     valid_until: Time,
     prefix: Option<Pmf>,
-    /// Bit-fingerprint of `prefix` (epoch-guarded; re-stamped on every
-    /// fill) — the fast equivalence-class key of DESIGN.md §13.
-    stamp: PrefixStamp,
+    /// [`Pmf::fingerprint`] of `prefix`, recomputed on every fill (`None`
+    /// for an idle empty core) — the fast equivalence-class key of
+    /// DESIGN.md §13.
+    fingerprint: Option<u64>,
 }
 
 /// The cache entry of `core`, which the caller has just refreshed via
@@ -311,7 +312,7 @@ impl CandidateEvaluator {
 
     /// Serializes the evaluator's mutable state — the counters, the fused
     /// kernel's call count, and every prefix-cache entry (epoch, validity
-    /// window, pmf, stamp) — into a serving checkpoint.
+    /// window, pmf, fingerprint) — into a serving checkpoint.
     pub fn save_state(&self, enc: &mut Encoder) {
         enc.put_u64(self.hits.get());
         enc.put_u64(self.misses.get());
@@ -329,7 +330,7 @@ impl CandidateEvaluator {
                     enc.put_f64(e.computed_at);
                     enc.put_f64(e.valid_until);
                     e.prefix.encode(enc);
-                    e.stamp.encode(enc);
+                    e.fingerprint.encode(enc);
                 }
                 None => enc.put_bool(false),
             }
@@ -362,13 +363,13 @@ impl CandidateEvaluator {
                     ));
                 }
                 let prefix = Option::<Pmf>::decode(dec)?;
-                let stamp = PrefixStamp::decode(dec)?;
+                let fingerprint = Option::<u64>::decode(dec)?;
                 entries.push(Some(CachedPrefix {
                     epoch,
                     computed_at,
                     valid_until,
                     prefix,
-                    stamp,
+                    fingerprint,
                 }));
             } else {
                 entries.push(None);
@@ -381,7 +382,7 @@ impl CandidateEvaluator {
 
     /// Brings `core`'s cache entry up to date: a lookup counts as a hit
     /// when the core's epoch and the view time both sit inside the cached
-    /// entry's exact-validity window, and recomputes (re-stamping the
+    /// entry's exact-validity window, and recomputes (with a fresh
     /// prefix fingerprint) otherwise. Postcondition: `entries[core]` is
     /// `Some` and exact for the view.
     fn refresh_entry(
@@ -407,26 +408,13 @@ impl CandidateEvaluator {
         let (prefix, valid_until) =
             prefix_with_validity(view, core, self.policy, &mut self.scratch.borrow_mut());
         let fingerprint = prefix.as_ref().map(Pmf::fingerprint);
-        match &mut entries[core] {
-            Some(e) => {
-                e.epoch = epoch;
-                e.computed_at = now;
-                e.valid_until = valid_until;
-                e.prefix = prefix;
-                e.stamp.restamp(fingerprint);
-            }
-            slot => {
-                let mut stamp = PrefixStamp::new();
-                stamp.restamp(fingerprint);
-                *slot = Some(CachedPrefix {
-                    epoch,
-                    computed_at: now,
-                    valid_until,
-                    prefix,
-                    stamp,
-                });
-            }
-        }
+        entries[core] = Some(CachedPrefix {
+            epoch,
+            computed_at: now,
+            valid_until,
+            prefix,
+            fingerprint,
+        });
     }
 
     fn evaluate_with_prefix(
@@ -691,7 +679,7 @@ impl CandidateEvaluator {
             let node = view.cluster().core(core).node;
             let key = ClassKey {
                 template: view.cluster().template_of(node) as u32,
-                fingerprint: e.stamp.fingerprint(),
+                fingerprint: e.fingerprint,
                 depth: view.core_state(core).depth() as u32,
             };
             let prefix = e.prefix.as_ref();
@@ -1353,7 +1341,7 @@ mod tests {
         let ev = CandidateEvaluator::default();
         let _ = ev.evaluate_all(&view, &mk_task(&s, 10.0));
         let entries = ev.cache.borrow();
-        let fingerprint = |core| entry_of(&entries, core).stamp.fingerprint();
+        let fingerprint = |core| entry_of(&entries, core).fingerprint;
         let f0 = fingerprint(0);
         assert!(f0.is_some(), "busy core has a prefix to fingerprint");
         assert_eq!(f0, fingerprint(twin));

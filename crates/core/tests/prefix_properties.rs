@@ -14,6 +14,7 @@ use ecds_sim::{CoreState, ExecutingTask, QueuedTask, Scenario, SystemView};
 use ecds_workload::{Task, TaskId, TaskTypeId};
 use oracle::prefix_pmf;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
 fn scenario() -> &'static Scenario {
@@ -112,13 +113,18 @@ proptest! {
     }
 
     /// Every mutator bumps the epoch by exactly one (complete bumps once
-    /// even though it also pops), and the epoch never decreases.
+    /// even though it also pops), the epoch never decreases, and equal
+    /// epochs imply equal executing/queued state — the invariant the
+    /// prefix cache keys on.
     #[test]
     fn every_mutation_bumps_the_epoch(
         ops in prop::collection::vec(0usize..4, 1..20),
     ) {
         let mut core = CoreState::new();
         let mut id = 0usize;
+        let snapshot =
+            |c: &CoreState| (c.executing().copied(), c.queued().copied().collect::<Vec<_>>());
+        let mut seen = BTreeMap::from([(core.epoch(), snapshot(&core))]);
         for &op in &ops {
             let before = core.epoch();
             let mutated = match op {
@@ -159,6 +165,9 @@ proptest! {
             };
             let expected = if mutated { before + 1 } else { before };
             prop_assert_eq!(core.epoch(), expected, "op {} at epoch {}", op, before);
+            let now = snapshot(&core);
+            let first = seen.entry(core.epoch()).or_insert_with(|| now.clone());
+            prop_assert_eq!(&*first, &now, "epoch {} saw two states", core.epoch());
         }
     }
 

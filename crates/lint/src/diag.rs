@@ -3,13 +3,11 @@
 
 use std::fmt;
 
-/// The invariants ecds-lint enforces (DESIGN.md §9, §14); R2–R4 moved to
-/// clippy, so the rule ids keep their historical numbers.
+/// The invariants ecds-lint enforces (DESIGN.md §9, §14); R1 became
+/// structural and R2–R4 moved to clippy, so the rule ids keep their
+/// historical numbers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RuleId {
-    /// R1: every public `&mut self` method on an epoch-guarded type must
-    /// bump `self.epoch` on every exit path (flow-sensitive since v2).
-    EpochDiscipline,
     /// R5: no function in a result-affecting crate (or the checkpoint
     /// codec) may reach a nondeterminism source — directly or through
     /// the call graph, including sources laundered through a helper
@@ -25,7 +23,6 @@ impl RuleId {
     /// `results/LINT.json`.
     pub fn as_str(&self) -> &'static str {
         match self {
-            RuleId::EpochDiscipline => "R1-epoch",
             RuleId::TaintDiscipline => "R5-taint",
             RuleId::AllocFree => "R6-allocfree",
         }
@@ -34,7 +31,6 @@ impl RuleId {
     /// Parses the stable identifier (for allowlist entries).
     pub fn parse(s: &str) -> Option<Self> {
         match s {
-            "R1-epoch" => Some(RuleId::EpochDiscipline),
             "R5-taint" => Some(RuleId::TaintDiscipline),
             "R6-allocfree" => Some(RuleId::AllocFree),
             _ => None,
@@ -42,12 +38,8 @@ impl RuleId {
     }
 
     /// All rules, in report order.
-    pub fn all() -> [RuleId; 3] {
-        [
-            RuleId::EpochDiscipline,
-            RuleId::TaintDiscipline,
-            RuleId::AllocFree,
-        ]
+    pub fn all() -> [RuleId; 2] {
+        [RuleId::TaintDiscipline, RuleId::AllocFree]
     }
 }
 

@@ -1,5 +1,5 @@
 //! The lint driver: workspace discovery, model construction, rule
-//! execution, allowlist application, and the coverage gate.
+//! execution, and allowlist application.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -18,12 +18,6 @@ const CRATE_SUBDIRS: &[&str] = &["src", "tests", "benches"];
 /// intentional violations.
 const EXCLUDED_COMPONENTS: &[&str] = &["fixtures"];
 
-/// Minimum percentage of function bodies the statement parser must
-/// shape for the run to certify the workspace. Below this, the
-/// flow-sensitive rules are reasoning about too little of the code for
-/// "0 violations" to mean anything.
-pub const MIN_BODY_COVERAGE_PCT: usize = 95;
-
 /// The outcome of a lint run.
 #[derive(Debug, Default)]
 pub struct RunResult {
@@ -40,13 +34,6 @@ pub struct RunResult {
     /// Files that failed to parse (path: message). A parse failure fails
     /// the run: the linter must not certify code it could not read.
     pub parse_errors: Vec<String>,
-    /// Function bodies present in the workspace.
-    pub bodies_total: usize,
-    /// Function bodies the statement parser shaped (CFG-analyzable).
-    pub bodies_parsed: usize,
-    /// Bodies the statement parser skipped, as (file, function,
-    /// signature line, reason).
-    pub skipped_bodies: Vec<(String, String, usize, String)>,
     /// Wall-clock time of the run in milliseconds. Excluded from the
     /// artifact drift check (`git diff -I` in CI); everything else in
     /// the JSON report is byte-stable.
@@ -64,29 +51,13 @@ impl RunResult {
         self.diagnostics.iter().filter(|d| d.allowed.is_some())
     }
 
-    /// Body coverage in tenths of a percent (998 = 99.8%); an empty
-    /// workspace counts as full coverage.
-    pub fn coverage_permille(&self) -> usize {
-        (self.bodies_parsed * 1000)
-            .checked_div(self.bodies_total)
-            .unwrap_or(1000)
-    }
-
-    /// Whether enough bodies were statement-parsed for the
-    /// flow-sensitive rules to certify the workspace.
-    pub fn coverage_ok(&self) -> bool {
-        self.coverage_permille() >= MIN_BODY_COVERAGE_PCT * 10
-    }
-
     /// Whether the workspace passes: no unallowlisted violations, no
-    /// stale or ambiguous allowlist entries, no unparseable files, and
-    /// body coverage at or above [`MIN_BODY_COVERAGE_PCT`].
+    /// stale or ambiguous allowlist entries, and no unparseable files.
     pub fn is_clean(&self) -> bool {
         self.violations().next().is_none()
             && self.stale_entries.is_empty()
             && self.ambiguous_entries.is_empty()
             && self.parse_errors.is_empty()
-            && self.coverage_ok()
     }
 }
 
@@ -144,8 +115,7 @@ pub fn run_on_sources(
     Ok(result)
 }
 
-/// Shared back half of a run: rules, deterministic ordering, allowlist,
-/// coverage accounting.
+/// Shared back half of a run: rules, deterministic ordering, allowlist.
 fn finish_run(ws: &Workspace, allowlist: &Allowlist) -> RunResult {
     let mut result = RunResult {
         files_scanned: ws.files.len(),
@@ -158,10 +128,6 @@ fn finish_run(ws: &Workspace, allowlist: &Allowlist) -> RunResult {
     let outcome = allowlist.apply(&mut result.diagnostics);
     result.stale_entries = outcome.stale;
     result.ambiguous_entries = outcome.ambiguous;
-    let (total, parsed) = ws.body_coverage();
-    result.bodies_total = total;
-    result.bodies_parsed = parsed;
-    result.skipped_bodies = ws.skipped_bodies();
     result
 }
 

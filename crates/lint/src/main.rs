@@ -1,9 +1,8 @@
 //! CLI entry point: `cargo run -p ecds-lint [-- --json results/LINT.json]`.
 //!
 //! Exit codes: 0 = workspace clean (allowlisted sites included), 1 = any
-//! unallowlisted violation, stale or ambiguous allowlist entry,
-//! unparseable file, or body coverage below the 95% floor, 2 = usage or
-//! I/O error.
+//! unallowlisted violation, stale or ambiguous allowlist entry, or
+//! unparseable file, 2 = usage or I/O error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -17,7 +16,7 @@ struct Args {
 }
 
 const USAGE: &str = "\
-ecds-lint: enforce the workspace epoch/taint/alloc-free invariants (DESIGN.md §9, §14)
+ecds-lint: enforce the workspace taint/alloc-free invariants (DESIGN.md §9, §14)
 
 USAGE: cargo run -p ecds-lint [-- OPTIONS]
 

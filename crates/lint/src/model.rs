@@ -1,6 +1,6 @@
 //! The workspace-wide analysis model behind the interprocedural rules
-//! (DESIGN.md §14): every function in every scanned file, its parsed
-//! body, its outgoing call sites, and a resolved call graph.
+//! (DESIGN.md §14): every function in every scanned file, its body
+//! tokens, its outgoing call sites, and a resolved call graph.
 //!
 //! Call resolution is heuristic, by name with context filters:
 //!
@@ -26,7 +26,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
 use proc_macro2::{Delimiter, TokenTree};
-use syn::{Item, ItemFn, Receiver, Visibility};
+use syn::{Item, ItemFn, Receiver};
 
 use crate::scan::for_each_sibling_run;
 use crate::source::{Role, SourceFile};
@@ -135,25 +135,14 @@ pub struct FnModel {
     pub self_ty: Option<String>,
     /// The parsed receiver, if any.
     pub receiver: Option<Receiver>,
-    /// `pub` or inherited.
-    pub vis: Visibility,
     /// Whether any enclosing scope marks this function as test code.
     pub in_test: bool,
-    /// Whether the function sits inside a trait impl (`impl Trait for
-    /// Type`); such methods implement an external surface, not the
-    /// type's own mutation API.
-    pub in_trait_impl: bool,
     /// 1-based signature line.
     pub line: usize,
     /// 0-based signature column.
     pub column: usize,
     /// Raw body tokens (`None` for bodyless trait declarations).
     pub body: Option<Vec<TokenTree>>,
-    /// The statement-level parse of the body, when it succeeded.
-    pub block: Option<syn::body::Block>,
-    /// Why the body was not statement-parsed (body present, parse
-    /// failed). Counted as a skipped body in coverage reporting.
-    pub skip_reason: Option<String>,
     /// Outgoing syntactic call sites.
     pub calls: Vec<CallSite>,
     /// Direct determinism-taint sources (R5's banned identifiers).
@@ -221,30 +210,6 @@ impl Workspace {
         self.fns.iter().enumerate().filter_map(|(i, f)| {
             (!f.in_test && matches!(self.files[f.file].role, Role::Lib | Role::Bin)).then_some(i)
         })
-    }
-
-    /// Total function bodies and how many were statement-parsed.
-    pub fn body_coverage(&self) -> (usize, usize) {
-        let with_body = self.fns.iter().filter(|f| f.body.is_some()).count();
-        let parsed = self.fns.iter().filter(|f| f.block.is_some()).count();
-        (with_body, parsed)
-    }
-
-    /// Skipped bodies, itemized as (file, function, line, reason).
-    pub fn skipped_bodies(&self) -> Vec<(String, String, usize, String)> {
-        self.fns
-            .iter()
-            .filter_map(|f| {
-                f.skip_reason.as_ref().map(|r| {
-                    (
-                        self.files[f.file].rel_path.clone(),
-                        f.label(),
-                        f.line,
-                        r.clone(),
-                    )
-                })
-            })
-            .collect()
     }
 }
 
@@ -320,24 +285,18 @@ fn extract_fns(file_idx: usize, file: &SourceFile, out: &mut Vec<FnModel>) {
         items: &[Item],
         file_idx: usize,
         file: &SourceFile,
-        ctx: &FnCtx<'_>,
+        self_ty: Option<&str>,
         inherited_test: bool,
         out: &mut Vec<FnModel>,
     ) {
         for item in items {
             let in_test = inherited_test || attrs_mark_test(item);
             match item {
-                Item::Fn(f) => out.push(fn_model(file_idx, file, f, ctx, in_test)),
-                Item::Impl(i) => {
-                    let inner = FnCtx {
-                        self_ty: Some(i.self_ty.as_str()),
-                        in_trait_impl: i.trait_path.is_some(),
-                    };
-                    walk(&i.items, file_idx, file, &inner, in_test, out);
-                }
+                Item::Fn(f) => out.push(fn_model(file_idx, file, f, self_ty, in_test)),
+                Item::Impl(i) => walk(&i.items, file_idx, file, Some(&i.self_ty), in_test, out),
                 Item::Mod(m) => {
                     if let Some(content) = &m.content {
-                        walk(content, file_idx, file, &FnCtx::default(), in_test, out);
+                        walk(content, file_idx, file, None, in_test, out);
                     }
                 }
                 _ => {}
@@ -345,21 +304,7 @@ fn extract_fns(file_idx: usize, file: &SourceFile, out: &mut Vec<FnModel>) {
         }
     }
     let file_is_test = file.role == Role::Test;
-    walk(
-        &file.ast.items,
-        file_idx,
-        file,
-        &FnCtx::default(),
-        file_is_test,
-        out,
-    );
-}
-
-/// Impl context threaded through the item walk.
-#[derive(Default)]
-struct FnCtx<'a> {
-    self_ty: Option<&'a str>,
-    in_trait_impl: bool,
+    walk(&file.ast.items, file_idx, file, None, file_is_test, out);
 }
 
 fn attrs_mark_test(item: &Item) -> bool {
@@ -374,19 +319,11 @@ fn fn_model(
     file_idx: usize,
     file: &SourceFile,
     f: &ItemFn,
-    ctx: &FnCtx<'_>,
+    self_ty: Option<&str>,
     in_test: bool,
 ) -> FnModel {
-    let self_ty = ctx.self_ty;
     let start = f.sig.span.start();
     let body: Option<Vec<TokenTree>> = f.body.as_ref().map(|b| b.tokens().to_vec());
-    let (block, skip_reason) = match &body {
-        Some(tokens) => match syn::body::parse_block(tokens, f.sig.span) {
-            Ok(b) => (Some(b), None),
-            Err(e) => (None, Some(e.message().to_string())),
-        },
-        None => (None, None),
-    };
     let mut calls = Vec::new();
     let mut taint_sites = Vec::new();
     let mut alloc_sites = Vec::new();
@@ -398,14 +335,10 @@ fn fn_model(
         name: f.sig.ident.clone(),
         self_ty: self_ty.map(str::to_string),
         receiver: f.sig.receiver,
-        vis: f.vis,
         in_test,
-        in_trait_impl: ctx.in_trait_impl,
         line: start.line,
         column: start.column,
         body,
-        block,
-        skip_reason,
         calls,
         taint_sites,
         alloc_sites,
@@ -793,17 +726,5 @@ mod tests {
         );
         let got: Vec<&str> = deps.iter().map(String::as_str).collect();
         assert_eq!(got, vec!["pmf", "sim"]);
-    }
-
-    #[test]
-    fn body_coverage_counts_skips() {
-        let ws = Workspace::from_sources(&[(
-            "crates/sim/src/x.rs",
-            "pub fn fine() { work(); }\npub trait T { fn decl(&self); }\n",
-        )])
-        .unwrap();
-        let (with_body, parsed) = ws.body_coverage();
-        assert_eq!((with_body, parsed), (1, 1));
-        assert!(ws.skipped_bodies().is_empty());
     }
 }

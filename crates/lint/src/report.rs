@@ -1,12 +1,11 @@
 //! Reporters: the human diagnostic listing and the machine-readable JSON
-//! artifact (`results/LINT.json`) that tracks rule/violation counts and
-//! analysis coverage across PRs.
+//! artifact (`results/LINT.json`) that tracks rule/violation counts
+//! across PRs.
 //!
-//! JSON schema 3 carries per-rule counts for R1-epoch, R5-taint and
-//! R6-allocfree, the body coverage ratio (functions whose bodies the
-//! statement parser shaped vs. skipped, itemized), ambiguous allowlist
-//! entries, and the run's wall time. Everything except `elapsed_ms` is
-//! byte-stable; CI diffs the committed artifact with `-I '"elapsed_ms"'`.
+//! JSON schema 4 carries per-rule counts for R5-taint and R6-allocfree,
+//! the full diagnostic lists, stale and ambiguous allowlist entries, and
+//! the run's wall time. Everything except `elapsed_ms` is byte-stable; CI
+//! diffs the committed artifact with `-I '"elapsed_ms"'`.
 
 use std::fmt::Write as _;
 
@@ -14,19 +13,12 @@ use crate::diag::RuleId;
 use crate::engine::RunResult;
 
 /// The `results/LINT.json` schema version this reporter emits.
-pub const JSON_SCHEMA: u32 = 3;
-
-/// Body coverage as a `"99.8"`-style string (one decimal, truncated),
-/// shared by both reporters so they cannot disagree.
-fn coverage_str(result: &RunResult) -> String {
-    let pm = result.coverage_permille();
-    format!("{}.{}", pm / 10, pm % 10)
-}
+pub const JSON_SCHEMA: u32 = 4;
 
 /// Renders the human report: every unallowlisted violation in full, a
 /// one-line entry per allowed site (with its audit reason when `verbose`),
-/// stale and ambiguous allowlist entries, parse errors, skipped bodies
-/// (when `verbose`), and a summary line with coverage and wall time.
+/// stale and ambiguous allowlist entries, parse errors, and a summary
+/// line with the wall time.
 pub fn human(result: &RunResult, verbose: bool) -> String {
     let mut out = String::new();
     for d in result.violations() {
@@ -39,13 +31,6 @@ pub fn human(result: &RunResult, verbose: bool) -> String {
                 out,
                 "{}:{}:{} {} allowed: {}",
                 d.file, d.line, d.column, d.rule, reason
-            );
-        }
-        for (file, func, line, reason) in &result.skipped_bodies {
-            let _ = writeln!(
-                out,
-                "{file}:{line}: body of `{func}` not statement-parsed ({reason}) — \
-                 flow-sensitive rules fell back to whole-body checks"
             );
         }
     }
@@ -73,8 +58,7 @@ pub fn human(result: &RunResult, verbose: bool) -> String {
     let _ = write!(
         out,
         "ecds-lint: {} files scanned, {} violation{}, {} allowed, {} stale allowlist \
-         entr{}, {} ambiguous, {} parse error{}, body coverage {}% ({}/{} parsed, min \
-         {}%), {} ms",
+         entr{}, {} ambiguous, {} parse error{}, {} ms",
         result.files_scanned,
         violations,
         if violations == 1 { "" } else { "s" },
@@ -92,51 +76,19 @@ pub fn human(result: &RunResult, verbose: bool) -> String {
         } else {
             "s"
         },
-        coverage_str(result),
-        result.bodies_parsed,
-        result.bodies_total,
-        crate::engine::MIN_BODY_COVERAGE_PCT,
         result.elapsed_ms,
     );
     out
 }
 
-/// Renders `results/LINT.json` (schema 3): per-rule counts, the full
-/// diagnostic lists, allowlist health, and analysis coverage,
-/// deterministically ordered.
+/// Renders `results/LINT.json` (schema 4): per-rule counts, the full
+/// diagnostic lists, and allowlist health, deterministically ordered.
 pub fn json(result: &RunResult) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     let _ = writeln!(out, "  \"schema\": {JSON_SCHEMA},");
     let _ = writeln!(out, "  \"files_scanned\": {},", result.files_scanned);
     let _ = writeln!(out, "  \"elapsed_ms\": {},", result.elapsed_ms);
-    out.push_str("  \"coverage\": {\n");
-    let _ = writeln!(out, "    \"bodies_total\": {},", result.bodies_total);
-    let _ = writeln!(out, "    \"bodies_parsed\": {},", result.bodies_parsed);
-    let _ = writeln!(
-        out,
-        "    \"bodies_skipped\": {},",
-        result.skipped_bodies.len()
-    );
-    let _ = writeln!(out, "    \"percent\": {},", coverage_str(result));
-    let _ = writeln!(out, "    \"ok\": {}", result.coverage_ok());
-    out.push_str("  },\n");
-    out.push_str("  \"skipped_bodies\": [");
-    for (i, (file, func, line, reason)) in result.skipped_bodies.iter().enumerate() {
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
-        let _ = write!(
-            out,
-            "    {{ \"file\": \"{}\", \"function\": \"{}\", \"line\": {line}, \
-             \"reason\": \"{}\" }}",
-            escape(file),
-            escape(func),
-            escape(reason)
-        );
-    }
-    if !result.skipped_bodies.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("],\n");
     out.push_str("  \"rules\": {\n");
     let rules = RuleId::all();
     for (i, rule) in rules.iter().enumerate() {
@@ -252,14 +204,6 @@ mod tests {
                 suggestion: "use BTreeMap".to_string(),
                 allowed: None,
             }],
-            bodies_total: 40,
-            bodies_parsed: 39,
-            skipped_bodies: vec![(
-                "crates/core/src/x.rs".to_string(),
-                "odd".to_string(),
-                3,
-                "unshaped macro body".to_string(),
-            )],
             ..RunResult::default()
         }
     }
@@ -270,18 +214,17 @@ mod tests {
         assert!(text.contains("crates/core/src/x.rs:7:4"));
         assert!(text.contains("R5-taint"));
         assert!(text.contains("1 violation,"));
-        assert!(text.contains("body coverage 97.5%"), "{text}");
+        assert!(text.contains("3 files scanned"), "{text}");
     }
 
     #[test]
-    fn json_report_has_counts_coverage_and_escapes() {
+    fn json_report_has_counts_and_escapes() {
         let text = json(&result_with_one_violation());
-        assert!(text.contains("\"schema\": 3"));
+        assert!(text.contains("\"schema\": 4"));
         assert!(text.contains("\"R5-taint\": { \"violations\": 1, \"allowed\": 0 }"));
         assert!(text.contains("\"R6-allocfree\": { \"violations\": 0, \"allowed\": 0 }"));
-        assert!(text.contains("\"bodies_parsed\": 39"));
-        assert!(text.contains("\"percent\": 97.5"));
-        assert!(text.contains("\"unshaped macro body\""));
+        assert!(!text.contains("R1-epoch"), "{text}");
+        assert!(text.contains("`f` uses `HashMap`: nondeterministic"));
         assert!(text.contains("\"clean\": false"));
         assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     }
@@ -310,19 +253,5 @@ mod tests {
             js.contains("\"ambiguous_allowlist\": [{ \"rule\": \"R6-allocfree\""),
             "{js}"
         );
-    }
-
-    #[test]
-    fn coverage_below_the_floor_is_not_clean() {
-        let mut r = RunResult {
-            bodies_total: 100,
-            bodies_parsed: 94,
-            ..RunResult::default()
-        };
-        assert!(!r.coverage_ok());
-        assert!(!r.is_clean());
-        r.bodies_parsed = 95;
-        assert!(r.coverage_ok());
-        assert!(r.is_clean());
     }
 }

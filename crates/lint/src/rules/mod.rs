@@ -1,5 +1,5 @@
 //! The rule implementations. Each rule runs over the whole-workspace
-//! [`Workspace`] model (functions, parsed bodies, resolved call graph).
+//! [`Workspace`] model (functions, body tokens, resolved call graph).
 //! Scoping (which crates, which roles, test vs. non-test regions) lives
 //! inside each rule so the engine can run all rules over everything
 //! unconditionally. Per-file invariants that clippy can express
@@ -8,7 +8,6 @@
 //! §9).
 
 pub mod allocfree;
-pub mod epoch;
 pub mod taint;
 
 use crate::diag::Diagnostic;
@@ -24,7 +23,6 @@ pub const RESULT_AFFECTING_CRATES: &[&str] = &[
 
 /// Runs every rule over the workspace model, appending diagnostics.
 pub fn check_workspace(ws: &Workspace, out: &mut Vec<Diagnostic>) {
-    epoch::check(ws, out);
     taint::check(ws, out);
     allocfree::check(ws, out);
 }

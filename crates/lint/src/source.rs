@@ -31,8 +31,6 @@ pub struct SourceFile {
     pub lines: Vec<String>,
     /// The parsed item tree.
     pub ast: syn::File,
-    /// Type names annotated `// lint: epoch-guarded` in this file.
-    pub epoch_guarded: Vec<String>,
     /// 1-based lines of `fn` signatures annotated `// lint: alloc-free`.
     pub alloc_free_lines: Vec<usize>,
 }
@@ -44,7 +42,6 @@ impl SourceFile {
         let ast = syn::parse_file(text).map_err(|e| e.to_string())?;
         let lines: Vec<String> = text.lines().map(str::to_string).collect();
         let (crate_name, role) = classify(rel_path);
-        let epoch_guarded = scan_epoch_markers(&lines);
         let alloc_free_lines = scan_alloc_free_markers(&lines);
         Ok(SourceFile {
             rel_path: rel_path.to_string(),
@@ -52,7 +49,6 @@ impl SourceFile {
             role,
             lines,
             ast,
-            epoch_guarded,
             alloc_free_lines,
         })
     }
@@ -94,36 +90,6 @@ fn classify(rel_path: &str) -> (String, Role) {
     (crate_name, role)
 }
 
-/// Finds `// lint: epoch-guarded` markers and resolves each to the type
-/// named by the next `struct`/`enum`/`impl` line.
-fn scan_epoch_markers(lines: &[String]) -> Vec<String> {
-    let mut guarded = Vec::new();
-    for (i, line) in lines.iter().enumerate() {
-        let trimmed = line.trim();
-        let Some(rest) = trimmed.strip_prefix("//") else {
-            continue;
-        };
-        let rest = rest.trim_start();
-        let Some(kind) = rest.strip_prefix("lint:") else {
-            continue;
-        };
-        if kind.trim() != "epoch-guarded" {
-            continue;
-        }
-        for follower in lines.iter().skip(i + 1) {
-            let t = follower.trim();
-            if t.is_empty() || t.starts_with("//") || t.starts_with("#[") {
-                continue;
-            }
-            if let Some(name) = declared_type_name(t) {
-                guarded.push(name);
-            }
-            break;
-        }
-    }
-    guarded
-}
-
 /// Finds `// lint: alloc-free` markers and resolves each to the next
 /// line declaring a `fn` (skipping comments, attributes, and blanks).
 /// The R6 rule certifies the so-annotated function's transitive call
@@ -155,23 +121,6 @@ fn scan_alloc_free_markers(lines: &[String]) -> Vec<usize> {
         }
     }
     marked
-}
-
-/// Extracts `Foo` from a line starting a `struct Foo` / `enum Foo` /
-/// `impl Foo` declaration (with optional visibility).
-fn declared_type_name(line: &str) -> Option<String> {
-    let mut words = line
-        .split(|c: char| !(c.is_alphanumeric() || c == '_'))
-        .filter(|w| !w.is_empty());
-    loop {
-        match words.next()? {
-            "pub" | "crate" | "super" | "in" => continue,
-            "struct" | "enum" | "union" | "impl" => {
-                return words.next().map(str::to_string);
-            }
-            _ => return None,
-        }
-    }
 }
 
 /// Reads a file into a [`SourceFile`], normalizing the relative path.
@@ -213,17 +162,16 @@ mod tests {
     }
 
     #[test]
-    fn epoch_markers_resolve_to_the_following_type() {
+    fn alloc_free_markers_resolve_to_the_following_fn() {
         let src = "\
-// lint: epoch-guarded
-#[derive(Debug)]
-pub struct Tracked {
-    epoch: u64,
-}
+// lint: alloc-free
+#[inline]
+pub fn kernel() {}
 
-pub struct Untracked;
+// lint: alloc-free
+pub struct NotAFn;
 ";
-        let f = SourceFile::parse("crates/sim/src/x.rs", src).unwrap();
-        assert_eq!(f.epoch_guarded, vec!["Tracked".to_string()]);
+        let f = SourceFile::parse("crates/pmf/src/x.rs", src).unwrap();
+        assert_eq!(f.alloc_free_lines, vec![3]);
     }
 }

@@ -14,7 +14,7 @@ fn sources() -> Vec<(&'static str, String)> {
         ("crates/sim/src/fixture.rs", "r5_result.rs"),
         ("crates/bench/src/fixture.rs", "r5_helper.rs"),
         ("crates/pmf/src/fixture_a.rs", "r6_positive.rs"),
-        ("crates/core/src/fixture_b.rs", "r1v2_positive.rs"),
+        ("crates/core/src/fixture_b.rs", "r6_negative.rs"),
         ("crates/workload/src/fixture_c.rs", "r5_direct.rs"),
     ];
     fixtures

@@ -1,10 +1,10 @@
 //! Per-rule fixture tests: each `tests/fixtures/*.rs` file is parsed as if
 //! it lived at a chosen workspace path (the path drives crate/role
-//! scoping) and checked against the full rule set — including the
-//! flow-sensitive R1v2 pass and the interprocedural R5/R6 passes, which
-//! see the fixture files as one miniature workspace. Positives must
-//! produce exactly the expected diagnostics, negatives none, and the
-//! allowlist machinery must excuse — and only excuse — what it names.
+//! scoping) and checked against the full rule set; the interprocedural
+//! R5/R6 passes see the fixture files as one miniature workspace.
+//! Positives must produce exactly the expected diagnostics, negatives
+//! none, and the allowlist machinery must excuse — and only excuse — what
+//! it names.
 
 use ecds_lint::allowlist::Allowlist;
 use ecds_lint::diag::{Diagnostic, RuleId};
@@ -41,74 +41,6 @@ fn lines_for(diags: &[Diagnostic], rule: RuleId) -> Vec<usize> {
         .filter(|d| d.rule == rule)
         .map(|d| d.line)
         .collect()
-}
-
-#[test]
-fn r1_flags_missing_epoch_bumps() {
-    let diags = check_fixture("r1_positive.rs", "crates/sim/src/fixture.rs");
-    let r1 = lines_for(&diags, RuleId::EpochDiscipline);
-    // `Ledger::clear` (marker-guarded), `Stamp::restamp` (marker-guarded
-    // fingerprint rewrite), `CoreState::enqueue` (guarded by name),
-    // `CoreState::restore_queue` (a checkpoint-restore path that forgets
-    // the epoch), and `ShardIndex::rekey` (a shard-index mutator that
-    // rewires class membership without the bump); `Ledger::push` and
-    // `ShardIndex::rebuild` bump and must not appear.
-    assert_eq!(r1.len(), 5, "diagnostics: {diags:#?}");
-    let snippets: Vec<&str> = diags
-        .iter()
-        .filter(|d| d.rule == RuleId::EpochDiscipline)
-        .map(|d| d.snippet.as_str())
-        .collect();
-    assert!(snippets.iter().any(|s| s.contains("fn clear")));
-    assert!(snippets.iter().any(|s| s.contains("fn restamp")));
-    assert!(snippets.iter().any(|s| s.contains("fn enqueue")));
-    assert!(snippets.iter().any(|s| s.contains("fn restore_queue")));
-    assert!(snippets.iter().any(|s| s.contains("fn rekey")));
-    assert!(!snippets.iter().any(|s| s.contains("fn rebuild")));
-}
-
-#[test]
-fn r1_accepts_bumping_private_and_test_mutators() {
-    let diags = check_fixture("r1_negative.rs", "crates/sim/src/fixture.rs");
-    assert!(
-        lines_for(&diags, RuleId::EpochDiscipline).is_empty(),
-        "diagnostics: {diags:#?}"
-    );
-}
-
-#[test]
-fn r1v2_flags_each_escaping_exit_path() {
-    let diags = check_fixture("r1v2_positive.rs", "crates/sim/src/fixture.rs");
-    let r1: Vec<&Diagnostic> = diags
-        .iter()
-        .filter(|d| d.rule == RuleId::EpochDiscipline)
-        .collect();
-    // One per escaping exit: pop_queued's fall-through, absorb's early
-    // return, apply's unbumped Swap arm, absorb_str's `?` escape. Every
-    // one of these bodies *contains* a bump, so v1 accepted all four.
-    assert_eq!(r1.len(), 4, "diagnostics: {r1:#?}");
-    assert!(!r1.iter().any(|d| d.message.contains("never bumps")));
-    let by_method = |name: &str| {
-        r1.iter()
-            .find(|d| d.message.contains(name))
-            .unwrap_or_else(|| panic!("no diagnostic for {name}: {r1:#?}"))
-    };
-    assert!(by_method("pop_queued").message.contains("fall through"));
-    assert!(by_method("fn absorb(").message.contains("returns without"));
-    assert!(by_method("apply").message.contains("fall through"));
-    assert!(by_method("absorb_str").message.contains("`?`"));
-    // Anchors sit at the escaping statements, not at the signatures.
-    assert!(by_method("pop_queued").snippet.contains("popped"));
-    assert!(by_method("fn absorb(").snippet.contains("return false"));
-}
-
-#[test]
-fn r1v2_accepts_bumps_on_every_path() {
-    let diags = check_fixture("r1v2_negative.rs", "crates/sim/src/fixture.rs");
-    assert!(
-        lines_for(&diags, RuleId::EpochDiscipline).is_empty(),
-        "diagnostics: {diags:#?}"
-    );
 }
 
 #[test]

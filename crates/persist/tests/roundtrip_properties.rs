@@ -5,15 +5,14 @@
 //! 1. **Round-trip bit-identity** — `decode(encode(x))` reproduces `x`
 //!    exactly, down to the bit pattern of every float (NaN payloads and the
 //!    sign of zero included), for every `Persist` type in the workspace:
-//!    the wire primitives, `Option`/`Vec`/tuples, the pmf types, the
-//!    prefix-cache stamp, and the RNG state words.
+//!    the wire primitives, `Option`/`Vec`/tuples, the pmf types, and the
+//!    RNG state words.
 //! 2. **Hostile bytes never panic** — corrupted, truncated, bit-flipped,
 //!    or wrong-version buffers produce a typed [`DecodeError`]; no input
 //!    reaches an unwrap, an overflow, or an oversized allocation.
 
 use ecds_persist::{open, seal, DecodeError, Decoder, Encoder, Persist};
 use ecds_pmf::{Impulse, Pmf};
-use ecds_sim::PrefixStamp;
 use proptest::prelude::*;
 use proptest::strategy::Map;
 use rand::rngs::StdRng;
@@ -81,10 +80,13 @@ proptest! {
 
     #[test]
     fn containers_round_trip(opt in arb_option(arb_f64_bits()),
+                             fingerprint in arb_option(arb_u64()),
                              vec in prop::collection::vec(arb_u64(), 0..32),
                              pair in (arb_u64(), arb_f64_bits()),
                              triple in (arb_f64_bits(), arb_f64_bits(), 0u32..=u32::MAX)) {
         prop_assert_eq!(roundtrip(&opt).map(f64::to_bits), opt.map(f64::to_bits));
+        // The prefix cache persists each entry's fingerprint this way.
+        prop_assert_eq!(roundtrip(&fingerprint), fingerprint);
         prop_assert_eq!(roundtrip(&vec), vec);
         let back = roundtrip(&pair);
         prop_assert_eq!(back.0, pair.0);
@@ -115,14 +117,6 @@ proptest! {
     #[test]
     fn pmf_round_trips_bitwise(pmf in arb_pmf()) {
         prop_assert!(roundtrip(&pmf).bit_eq(&pmf));
-    }
-
-    #[test]
-    fn prefix_stamp_round_trips(fp in arb_option(arb_u64()), epoch in arb_u64()) {
-        let stamp = PrefixStamp::from_checkpoint(fp, epoch);
-        let back = roundtrip(&stamp);
-        prop_assert_eq!(back.fingerprint(), stamp.fingerprint());
-        prop_assert_eq!(back.epoch(), stamp.epoch());
     }
 
     #[test]
@@ -220,7 +214,6 @@ proptest! {
         let _ = open(&bytes, 1);
         let _ = Pmf::decode(&mut Decoder::new(&bytes));
         let _ = Impulse::decode(&mut Decoder::new(&bytes));
-        let _ = PrefixStamp::decode(&mut Decoder::new(&bytes));
         let _ = Vec::<f64>::decode(&mut Decoder::new(&bytes));
         let _ = Vec::<(u64, f64)>::decode(&mut Decoder::new(&bytes));
         let _ = Option::<Pmf>::decode(&mut Decoder::new(&bytes));

@@ -6,6 +6,8 @@ use ecds_cluster::PState;
 use ecds_pmf::Time;
 use ecds_workload::{TaskId, TaskTypeId};
 
+pub use guarded::CoreState;
+
 /// A task waiting in a core's FIFO queue (its P-state was fixed at mapping
 /// time and cannot change — Sec. III-B: "tasks cannot be reassigned, either
 /// to a new core or a new P-state, once they are mapped").
@@ -36,16 +38,73 @@ pub struct ExecutingTask {
     pub deadline: Time,
 }
 
-/// One core's run state.
-// lint: epoch-guarded
+/// What a core is doing: the epoch-guarded part of [`CoreState`].
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct CoreState {
+struct RunState {
     executing: Option<ExecutingTask>,
     queued: VecDeque<QueuedTask>,
-    /// Monotone mutation counter: bumped by every state change so derived
-    /// quantities (the mapper's queue-prefix pmf cache) can detect
-    /// staleness without comparing queue contents.
-    epoch: u64,
+}
+
+/// The epoch guard. `CoreState`'s fields are private to this module, so
+/// the mutators below reach the [`RunState`] only through
+/// [`CoreState::run_state_mut`], which bumps the epoch first: a mutator
+/// that skips the bump does not compile.
+mod guarded {
+    use std::collections::VecDeque;
+
+    use super::{ExecutingTask, QueuedTask, RunState};
+
+    /// One core's run state.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    pub struct CoreState {
+        run: RunState,
+        /// Monotone mutation counter: bumped by every state change so
+        /// derived quantities (the mapper's queue-prefix pmf cache) can
+        /// detect staleness without comparing queue contents.
+        epoch: u64,
+    }
+
+    impl CoreState {
+        /// Rebuilds a core's run state from checkpointed parts, including
+        /// its mutation epoch — an exact restore must resume the epoch
+        /// sequence, not restart it, or observers' caches would treat
+        /// stale derived state as fresh.
+        pub(crate) fn from_checkpoint_parts(
+            executing: Option<ExecutingTask>,
+            queued: VecDeque<QueuedTask>,
+            epoch: u64,
+        ) -> Self {
+            Self {
+                run: RunState { executing, queued },
+                epoch,
+            }
+        }
+
+        /// The mutation epoch: strictly increases on every
+        /// [`enqueue`](CoreState::enqueue), [`start`](CoreState::start),
+        /// [`complete`](CoreState::complete), and
+        /// [`pop_queued`](CoreState::pop_queued). Two observations of the
+        /// same core with equal epochs saw identical executing/queued
+        /// state.
+        #[inline]
+        pub fn epoch(&self) -> u64 {
+            self.epoch
+        }
+
+        /// Read-only access; never bumps.
+        #[inline]
+        pub(super) fn run_state(&self) -> &RunState {
+            &self.run
+        }
+
+        /// The only mutable access: bumps the epoch before handing out
+        /// the run state.
+        #[inline]
+        pub(super) fn run_state_mut(&mut self) -> &mut RunState {
+            self.epoch += 1;
+            &mut self.run
+        }
+    }
 }
 
 impl CoreState {
@@ -54,92 +113,64 @@ impl CoreState {
         Self::default()
     }
 
-    /// Rebuilds a core's run state from checkpointed parts, including its
-    /// mutation epoch — an exact restore must resume the epoch sequence,
-    /// not restart it, or observers' caches would treat stale derived
-    /// state as fresh (associated constructor: it creates state rather
-    /// than mutating it, so it is exempt from the R1 bump rule).
-    pub(crate) fn from_checkpoint_parts(
-        executing: Option<ExecutingTask>,
-        queued: VecDeque<QueuedTask>,
-        epoch: u64,
-    ) -> Self {
-        Self {
-            executing,
-            queued,
-            epoch,
-        }
-    }
-
-    /// The mutation epoch: strictly increases on every
-    /// [`enqueue`](CoreState::enqueue), [`start`](CoreState::start),
-    /// [`complete`](CoreState::complete), and
-    /// [`pop_queued`](CoreState::pop_queued). Two observations of the same
-    /// core with equal epochs saw identical executing/queued state.
-    #[inline]
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// The executing task, if any.
     #[inline]
     pub fn executing(&self) -> Option<&ExecutingTask> {
-        self.executing.as_ref()
+        self.run_state().executing.as_ref()
     }
 
     /// The waiting tasks, in execution order.
     #[inline]
     pub fn queued(&self) -> impl ExactSizeIterator<Item = &QueuedTask> {
-        self.queued.iter()
+        self.run_state().queued.iter()
     }
 
     /// The paper's `|MQ(i, j, k, t_l)|`: number of tasks queued for
     /// execution or currently executing on this core.
     #[inline]
     pub fn depth(&self) -> usize {
-        self.queued.len() + usize::from(self.executing.is_some())
+        let run = self.run_state();
+        run.queued.len() + usize::from(run.executing.is_some())
     }
 
     /// `true` when nothing is executing (a newly-assigned task may start
     /// immediately).
     #[inline]
     pub fn is_idle(&self) -> bool {
-        self.executing.is_none()
+        self.run_state().executing.is_none()
     }
 
     /// Appends a task to the wait queue.
     pub fn enqueue(&mut self, task: QueuedTask) {
-        self.queued.push_back(task);
-        self.epoch += 1;
+        self.run_state_mut().queued.push_back(task);
     }
 
     /// Marks `task` as executing. The core must be idle.
     pub fn start(&mut self, task: ExecutingTask) {
-        assert!(self.executing.is_none(), "core already executing a task");
-        self.executing = Some(task);
-        self.epoch += 1;
+        assert!(self.is_idle(), "core already executing a task");
+        self.run_state_mut().executing = Some(task);
     }
 
     /// Finishes the executing task, returning it; the next queued task (if
     /// any) is returned for the engine to start.
     pub fn complete(&mut self) -> (ExecutingTask, Option<QueuedTask>) {
+        let run = self.run_state_mut();
         #[expect(
             clippy::expect_used,
             reason = "engine invariant: complete() is only dispatched for a Completion event of the task this core started"
         )]
-        let done = self.executing.take().expect("no task executing");
-        self.epoch += 1;
-        (done, self.queued.pop_front())
+        let done = run.executing.take().expect("no task executing");
+        (done, run.queued.pop_front())
     }
 
     /// Pops the next waiting task without starting it — used by the
-    /// cancel-overdue extension to skip tasks that already missed.
+    /// cancel-overdue extension to skip tasks that already missed. Popping
+    /// an empty queue is not a mutation and leaves the epoch alone.
     pub fn pop_queued(&mut self) -> Option<QueuedTask> {
-        let popped = self.queued.pop_front();
-        if popped.is_some() {
-            self.epoch += 1;
+        if self.run_state().queued.is_empty() {
+            return None;
         }
-        popped
+        self.run_state_mut().queued.pop_front()
     }
 }
 

@@ -474,7 +474,9 @@ fn restore_error(scenario: &Scenario, trace: &WorkloadTrace, bytes: &[u8]) -> De
 
 /// A checkpoint sealed with an older wire-format version is rejected with a
 /// typed error before any body field is read: version 1 bodies carried the
-/// evaluator's configuration flags, which version 2 dropped.
+/// evaluator's configuration flags, which version 2 dropped, and version 3
+/// bodies carried an epoch per cached prefix fingerprint, which version 4
+/// dropped. Both are sealed here in the current envelope.
 #[test]
 fn restore_rejects_a_version_1_checkpoint() {
     let scenario = Scenario::small_for_tests(3);
@@ -482,12 +484,14 @@ fn restore_rejects_a_version_1_checkpoint() {
     let bytes = checkpoint_after(&scenario, &trace, 10);
     let body = ecds::persist::open(&bytes, ecds::sim::CHECKPOINT_VERSION)
         .expect("a fresh checkpoint opens");
-    let old = ecds::persist::seal(1, body);
-    let err = restore_error(&scenario, &trace, &old);
-    assert!(
-        matches!(err, DecodeError::UnsupportedVersion { found: 1 }),
-        "unexpected error: {err:?}"
-    );
+    for version in [1, 3] {
+        let old = ecds::persist::seal(version, body);
+        let err = restore_error(&scenario, &trace, &old);
+        assert!(
+            matches!(err, DecodeError::UnsupportedVersion { found } if found == version),
+            "version {version}: unexpected error: {err:?}"
+        );
+    }
 }
 
 /// Byte-serial FNV-1a-64, the envelope checksum of versions 1 and 2.
