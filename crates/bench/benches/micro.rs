@@ -1,17 +1,25 @@
-//! Micro-benchmarks of the hot paths: pmf algebra (the paper notes
-//! convolution overhead "can be negligible if task execution times are
-//! sufficiently long"), candidate evaluation, and the robustness
-//! calculation.
+//! The kernel micro-benchmark behind `results/BENCH_kernel.json`: median
+//! ns/op of the fused scratch kernel against the legacy convolve→reduce
+//! pipeline, plus one warm `evaluate_all` sweep. It is the one row that
+//! times the paper's claim that convolution overhead "can be negligible if
+//! task execution times are sufficiently long"; end-to-end timings come
+//! from `perfbench`.
+//!
+//! `cargo bench -p ecds-bench --bench micro` passes `--bench` and writes
+//! the file. Without that flag (`cargo test --bench micro`) every measured
+//! closure runs once so the path can't bit-rot, and nothing is written.
 
-use criterion::{criterion_group, BenchmarkId, Criterion};
 use std::hint::black_box;
+use std::time::Instant;
 
-use ecds_core::{system_robustness, CandidateEvaluator};
-use ecds_pmf::{Gamma, Pmf, PmfScratch, ReductionPolicy, SeedDerive};
+use ecds_core::CandidateEvaluator;
+use ecds_pmf::{Gamma, Pmf, PmfScratch, ReductionPolicy};
 use ecds_sim::{CoreState, ExecutingTask, QueuedTask, Scenario, SystemView};
 use ecds_workload::{Task, TaskId, TaskTypeId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+const SAMPLES: usize = 30;
 
 fn gamma_pmf(mean: f64, impulses: usize) -> Pmf {
     let gamma = Gamma::from_mean_cv(mean, 0.2);
@@ -23,80 +31,9 @@ fn gamma_pmf(mean: f64, impulses: usize) -> Pmf {
     )
 }
 
-fn bench_convolution(c: &mut Criterion) {
-    let mut group = c.benchmark_group("pmf_convolve");
-    for impulses in [8usize, 16, 24, 48] {
-        let a = gamma_pmf(750.0, impulses);
-        let b = gamma_pmf(900.0, impulses);
-        group.bench_with_input(
-            BenchmarkId::from_parameter(impulses),
-            &impulses,
-            |bch, _| bch.iter(|| black_box(a.convolve(&b, ReductionPolicy::new(impulses)))),
-        );
-    }
-    group.finish();
-}
-
-/// The fused scratch kernel against the legacy convolve→reduce pipeline at
-/// the default 24-impulse cap: "warm" reuses one workspace across
-/// iterations (the evaluator's steady state), "cold" pays the buffer
-/// growth on every call.
-fn bench_kernel_fused_vs_legacy(c: &mut Criterion) {
-    let mut group = c.benchmark_group("pmf_kernel");
-    let policy = ReductionPolicy::default_cap();
-    for impulses in [8usize, 24, 64] {
-        let a = gamma_pmf(750.0, impulses);
-        let b = gamma_pmf(900.0, impulses);
-        group.bench_with_input(BenchmarkId::new("legacy", impulses), &impulses, |bch, _| {
-            bch.iter(|| black_box(a.convolve(&b, policy)))
-        });
-        group.bench_with_input(
-            BenchmarkId::new("fused_warm", impulses),
-            &impulses,
-            |bch, _| {
-                let mut scratch = PmfScratch::new();
-                bch.iter(|| {
-                    let out = scratch.convolve_reduced(black_box(&a), black_box(&b), policy);
-                    black_box(out.expectation())
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("fused_cold", impulses),
-            &impulses,
-            |bch, _| {
-                bch.iter(|| {
-                    let mut scratch = PmfScratch::new();
-                    let out = scratch.convolve_reduced(black_box(&a), black_box(&b), policy);
-                    black_box(out.expectation())
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
-fn bench_truncate(c: &mut Criterion) {
-    let p = gamma_pmf(750.0, 24).shift(100.0);
-    c.bench_function("pmf_truncate_renormalize", |b| {
-        b.iter(|| black_box(p.truncate_below(black_box(750.0))))
-    });
-}
-
-fn bench_quantile(c: &mut Criterion) {
-    let p = gamma_pmf(750.0, 24);
-    c.bench_function("pmf_quantile", |b| {
-        b.iter(|| black_box(p.quantile(black_box(0.73)).unwrap()))
-    });
-}
-
-fn busy_view_fixture() -> (Scenario, Vec<CoreState>) {
-    busy_view_fixture_with_depth(1)
-}
-
 /// Every core executing one task with `depth` more queued behind it
 /// (burst-time telemetry shows per-core depths of this order).
-fn busy_view_fixture_with_depth(depth: usize) -> (Scenario, Vec<CoreState>) {
+fn busy_view_fixture(depth: usize) -> (Scenario, Vec<CoreState>) {
     let scenario = Scenario::small_for_tests(3);
     let mut cores = vec![CoreState::new(); scenario.cluster().total_cores()];
     for (i, core) in cores.iter_mut().enumerate() {
@@ -119,209 +56,112 @@ fn busy_view_fixture_with_depth(depth: usize) -> (Scenario, Vec<CoreState>) {
     (scenario, cores)
 }
 
-fn probe_task() -> Task {
-    Task {
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(|a, b| a.total_cmp(b));
+    let n = xs.len();
+    if n % 2 == 1 {
+        xs[n / 2]
+    } else {
+        0.5 * (xs[n / 2 - 1] + xs[n / 2])
+    }
+}
+
+/// Median ns/op over [`SAMPLES`] batches of `iters` calls (one warm-up
+/// batch first). In smoke mode runs `f` once and returns 0.
+// Bench harness: timing is the point (clippy.toml bans the wall clock).
+#[allow(clippy::disallowed_methods)]
+fn measure(mut f: impl FnMut(), iters: u32, bench_mode: bool) -> f64 {
+    if !bench_mode {
+        f();
+        return 0.0;
+    }
+    for _ in 0..iters {
+        f();
+    }
+    let mut samples = Vec::with_capacity(SAMPLES);
+    for _ in 0..SAMPLES {
+        let start = Instant::now();
+        for _ in 0..iters {
+            f();
+        }
+        samples.push(start.elapsed().as_nanos() as f64 / iters as f64);
+    }
+    median(samples)
+}
+
+fn main() {
+    let bench_mode = std::env::args().any(|a| a == "--bench");
+    let policy = ReductionPolicy::default_cap();
+    let mut kernel_rows = String::new();
+    for (i, impulses) in [8usize, 24, 64].into_iter().enumerate() {
+        let a = gamma_pmf(750.0, impulses);
+        let b = gamma_pmf(900.0, impulses);
+        let legacy = measure(|| drop(black_box(a.convolve(&b, policy))), 2000, bench_mode);
+        let mut scratch = PmfScratch::new();
+        let fused_warm = measure(
+            || {
+                let out = scratch.convolve_reduced(black_box(&a), black_box(&b), policy);
+                black_box(out.expectation());
+            },
+            2000,
+            bench_mode,
+        );
+        let fused_cold = measure(
+            || {
+                let mut fresh = PmfScratch::new();
+                let out = fresh.convolve_reduced(black_box(&a), black_box(&b), policy);
+                black_box(out.expectation());
+            },
+            2000,
+            bench_mode,
+        );
+        if i > 0 {
+            kernel_rows.push_str(",\n");
+        }
+        kernel_rows.push_str(&format!(
+            "    {{\"impulses\": {impulses}, \"cap\": {cap}, \
+             \"legacy_ns\": {legacy:.1}, \"fused_warm_ns\": {fused_warm:.1}, \
+             \"fused_cold_ns\": {fused_cold:.1}, \"speedup_warm\": {speedup:.2}}}",
+            cap = policy.max_impulses,
+            speedup = if fused_warm > 0.0 {
+                legacy / fused_warm
+            } else {
+                0.0
+            },
+        ));
+    }
+
+    let (scenario, cores) = busy_view_fixture(4);
+    let view = SystemView::new(scenario.cluster(), scenario.table(), &cores, 500.0, 10, 60);
+    let task = Task {
         id: TaskId(50),
         type_id: TaskTypeId(5),
         arrival: 500.0,
         deadline: 3000.0,
         quantile: 0.5,
-    }
-}
-
-fn bench_candidate_evaluation(c: &mut Criterion) {
-    let (scenario, cores) = busy_view_fixture();
-    let view = SystemView::new(scenario.cluster(), scenario.table(), &cores, 500.0, 10, 60);
-    let task = probe_task();
+    };
     let evaluator = CandidateEvaluator::default();
-    c.bench_function("evaluate_all_candidates", |b| {
-        b.iter(|| black_box(evaluator.evaluate_all(&view, &task)))
-    });
-}
+    let _ = evaluator.evaluate_all(&view, &task);
+    let eval_fused = measure(
+        || drop(black_box(evaluator.evaluate_all(&view, &task))),
+        200,
+        bench_mode,
+    );
 
-/// `evaluate_all` with every queue-prefix pmf served from the versioned
-/// cache ("warm") against a cache emptied before every call ("cold"). Same
-/// burst-depth view in both arms: with 8 tasks queued per core the prefix
-/// convolution chain dominates the candidate sweep, which is precisely the
-/// load the cache exists for.
-fn bench_prefix_cache_cold_vs_warm(c: &mut Criterion) {
-    let (scenario, cores) = busy_view_fixture_with_depth(8);
-    let view = SystemView::new(scenario.cluster(), scenario.table(), &cores, 500.0, 10, 60);
-    let task = probe_task();
-    let mut group = c.benchmark_group("evaluate_all_prefix_cache");
-    group.bench_function("cold", |b| {
-        let evaluator = CandidateEvaluator::default();
-        b.iter(|| {
-            evaluator.reset_cache();
-            black_box(evaluator.evaluate_all(&view, &task))
-        })
-    });
-    group.bench_function("warm", |b| {
-        let evaluator = CandidateEvaluator::default();
-        // Prime every core's entry so the timed region is all hits.
-        let _ = evaluator.evaluate_all(&view, &task);
-        b.iter(|| black_box(evaluator.evaluate_all(&view, &task)))
-    });
-    group.finish();
-}
-
-fn bench_system_robustness(c: &mut Criterion) {
-    let (scenario, cores) = busy_view_fixture();
-    let view = SystemView::new(scenario.cluster(), scenario.table(), &cores, 500.0, 10, 60);
-    c.bench_function("system_robustness", |b| {
-        b.iter(|| black_box(system_robustness(&view, ReductionPolicy::default())))
-    });
-}
-
-fn bench_trace_generation(c: &mut Criterion) {
-    let scenario = Scenario::small_for_tests(3);
-    c.bench_function("trace_generation", |b| {
-        let mut trial = 0u64;
-        b.iter(|| {
-            trial += 1;
-            black_box(scenario.trace(trial))
-        })
-    });
-}
-
-fn bench_seed_derivation(c: &mut Criterion) {
-    let seeds = SeedDerive::new(42);
-    c.bench_function("seed_derivation", |b| {
-        b.iter(|| black_box(seeds.seed(ecds_pmf::Stream::Quantiles, black_box(17), black_box(3))))
-    });
-}
-
-/// Hand-rolled median measurement feeding `results/BENCH_kernel.json` —
-/// the machine-readable record of the kernel speedup (the vendored
-/// criterion reports mean/min/max only, and medians are what the
-/// acceptance criteria track). In smoke mode (no `--bench` flag, i.e.
-/// `cargo test --benches`) every measured closure still runs once so the
-/// JSON path can't bit-rot, but no file is written.
-mod kernel_json {
-    use super::*;
-    use std::time::Instant;
-
-    const SAMPLES: usize = 30;
-
-    fn median(mut xs: Vec<f64>) -> f64 {
-        xs.sort_by(|a, b| a.total_cmp(b));
-        let n = xs.len();
-        if n % 2 == 1 {
-            xs[n / 2]
-        } else {
-            0.5 * (xs[n / 2 - 1] + xs[n / 2])
-        }
+    if !bench_mode {
+        println!("BENCH_kernel.json: ok (smoke, not written)");
+        return;
     }
-
-    /// Median ns/op over [`SAMPLES`] batches of `iters` calls (one warm-up
-    /// batch first). In smoke mode runs `f` once and returns 0.
-    // Bench harness: timing is the point (clippy.toml bans the wall clock).
-    #[allow(clippy::disallowed_methods)]
-    fn measure(mut f: impl FnMut(), iters: u32, bench_mode: bool) -> f64 {
-        if !bench_mode {
-            f();
-            return 0.0;
-        }
-        for _ in 0..iters {
-            f();
-        }
-        let mut samples = Vec::with_capacity(SAMPLES);
-        for _ in 0..SAMPLES {
-            let start = Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            samples.push(start.elapsed().as_nanos() as f64 / iters as f64);
-        }
-        median(samples)
-    }
-
-    pub fn emit() {
-        let bench_mode = std::env::args().any(|a| a == "--bench");
-        let policy = ReductionPolicy::default_cap();
-        let mut kernel_rows = String::new();
-        for (i, impulses) in [8usize, 24, 64].into_iter().enumerate() {
-            let a = gamma_pmf(750.0, impulses);
-            let b = gamma_pmf(900.0, impulses);
-            let legacy = measure(|| drop(black_box(a.convolve(&b, policy))), 2000, bench_mode);
-            let mut scratch = PmfScratch::new();
-            let fused_warm = measure(
-                || {
-                    let out = scratch.convolve_reduced(black_box(&a), black_box(&b), policy);
-                    black_box(out.expectation());
-                },
-                2000,
-                bench_mode,
-            );
-            let fused_cold = measure(
-                || {
-                    let mut fresh = PmfScratch::new();
-                    let out = fresh.convolve_reduced(black_box(&a), black_box(&b), policy);
-                    black_box(out.expectation());
-                },
-                2000,
-                bench_mode,
-            );
-            if i > 0 {
-                kernel_rows.push_str(",\n");
-            }
-            kernel_rows.push_str(&format!(
-                "    {{\"impulses\": {impulses}, \"cap\": {cap}, \
-                 \"legacy_ns\": {legacy:.1}, \"fused_warm_ns\": {fused_warm:.1}, \
-                 \"fused_cold_ns\": {fused_cold:.1}, \"speedup_warm\": {speedup:.2}}}",
-                cap = policy.max_impulses,
-                speedup = if fused_warm > 0.0 {
-                    legacy / fused_warm
-                } else {
-                    0.0
-                },
-            ));
-        }
-
-        let (scenario, cores) = busy_view_fixture_with_depth(4);
-        let view = SystemView::new(scenario.cluster(), scenario.table(), &cores, 500.0, 10, 60);
-        let task = probe_task();
-        let fused_eval = CandidateEvaluator::default();
-        let _ = fused_eval.evaluate_all(&view, &task);
-        let eval_fused = measure(
-            || drop(black_box(fused_eval.evaluate_all(&view, &task))),
-            200,
-            bench_mode,
-        );
-
-        if !bench_mode {
-            println!("BENCH_kernel.json: ok (smoke, not written)");
-            return;
-        }
-        let json = format!(
-            "{{\n  \"units\": \"median ns per op, {SAMPLES} samples\",\n  \
-             \"kernel\": [\n{kernel_rows}\n  ],\n  \
-             \"evaluate_all\": {{\"queue_depth\": 4, \"warm_prefix_cache\": true, \
-             \"fused_ns\": {eval_fused:.1}}}\n}}\n"
-        );
-        let path = concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../results/BENCH_kernel.json"
-        );
-        std::fs::write(path, &json).expect("write BENCH_kernel.json");
-        println!("wrote {path}:\n{json}");
-    }
-}
-
-criterion_group!(
-    micro,
-    bench_convolution,
-    bench_kernel_fused_vs_legacy,
-    bench_truncate,
-    bench_quantile,
-    bench_candidate_evaluation,
-    bench_prefix_cache_cold_vs_warm,
-    bench_system_robustness,
-    bench_trace_generation,
-    bench_seed_derivation,
-);
-
-fn main() {
-    micro();
-    kernel_json::emit();
+    let json = format!(
+        "{{\n  \"units\": \"median ns per op, {SAMPLES} samples\",\n  \
+         \"kernel\": [\n{kernel_rows}\n  ],\n  \
+         \"evaluate_all\": {{\"queue_depth\": 4, \"warm_prefix_cache\": true, \
+         \"fused_ns\": {eval_fused:.1}}}\n}}\n"
+    );
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../results/BENCH_kernel.json"
+    );
+    std::fs::write(path, &json).expect("write BENCH_kernel.json");
+    println!("wrote {path}:\n{json}");
 }

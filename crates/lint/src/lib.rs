@@ -32,7 +32,7 @@
 //! only shrink with the code it excuses and every rationale stays pinned
 //! to its audited site. The parsing stack is the vendored
 //! `proc-macro2`/`syn` subset (the same offline-vendoring pattern as
-//! `rand`/`proptest`/`criterion`): items are parsed, function bodies
+//! `rand`/`proptest`): items are parsed, function bodies
 //! stay raw token trees.
 
 #![warn(missing_docs)]
